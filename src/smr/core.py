@@ -8,7 +8,9 @@ is even and {0, +-1, ..., +-((ms-1)/2)} when mr is odd.
 
 Indices are 1-based throughout the public model.  Arrays are sparse maps
 from (row, col) to entry; they are immutable after construction and safe to
-share between threads.
+share between threads.  Parameters, dimensions, indices and entries must be
+exact ``int``s: ``bool`` is a subclass of ``int`` and is rejected, as are
+floats such as ``1.0``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Params:
     def __post_init__(self) -> None:
         for name in ("m", "n", "r", "s"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.m * self.r != self.n * self.s:
             raise ValueError(
@@ -105,15 +107,19 @@ class SignedArray:
     cells: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise ValueError(f"dimensions are not integers: {self.rows!r}x{self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
         frozen = dict(self.cells)
         for (i, j), e in frozen.items():
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
             if not (1 <= i <= self.rows and 1 <= j <= self.cols):
                 raise ValueError(
                     f"cell ({i},{j}) outside the {self.rows}x{self.cols} grid"
                 )
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
         object.__setattr__(self, "cells", frozen)
 

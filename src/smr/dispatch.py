@@ -22,16 +22,6 @@ from .transforms import (
     join_horizontal,
 )
 
-REASONS = (
-    "OK_M2",
-    "OK_GENERAL",
-    "FAIL_ARITH",
-    "FAIL_M2_RESIDUE",
-    "FAIL_SMALL",
-    "FAIL_PARITY",
-)
-
-
 @dataclass(frozen=True)
 class Verdict:
     feasible: bool
@@ -165,62 +155,50 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
       9. m odd, r = 0 mod 4: odd-row width-4 base inflated horizontally.
      10. m odd, r = 2 mod 4: odd-row degree-6 base joined after the rule-9
          width for r-6 (empty at r = 6).
+
+    Every rule but 3 and 4 is one formula: the width-4 base for m, inflated
+    horizontally to degree r - c, joined after the degree-c tail for r mod 4
+    (c = 0, 5, 6, 3; no tail and no join when c = 0).  Rules 3 and 4 are the
+    tail alone.
     """
     verdict = feasibility(m, n, r)
     if not verdict.feasible:
         raise InfeasibleError(m, n, r, verdict)
 
-    if m == 2:
-        if r % 4 == 0:
-            steps = [_step("seed", id="S_2x4"), _step("inflate_horizontal", k=r // 4)]
-        else:
-            steps = [
-                _step("seed", id="S_2x4"),
-                _step("inflate_horizontal", k=(r - 3) // 4),
-                _step("seed", id="S_2x3"),
-                _step("join_horizontal"),
-            ]
-    elif m % 2 == 0:
-        if r == 3:
-            steps = [_step("three_column_block", m=m), _step("spread")]
-        elif r == 5:
-            steps = [_step("five_column_block", m=m), _step("spread")]
-        elif r % 4 == 0:
-            steps = _even_width4(m) + [_step("inflate_horizontal", k=r // 4)]
-        elif r % 4 == 2:
-            steps = (
-                _even_width4(m)
-                + [_step("inflate_horizontal", k=(r - 6) // 4)]
-                + _even_degree6(m)
-                + [_step("join_horizontal")]
-            )
-        elif r % 4 == 1:
-            steps = (
-                _even_width4(m)
-                + [_step("inflate_horizontal", k=(r - 5) // 4)]
-                + [_step("five_column_block", m=m), _step("spread")]
-                + [_step("join_horizontal")]
-            )
-        else:  # r = 3 mod 4, r >= 7
-            steps = (
-                _even_width4(m)
-                + [_step("inflate_horizontal", k=(r - 3) // 4)]
-                + [_step("three_column_block", m=m), _step("spread")]
-                + [_step("join_horizontal")]
-            )
+    tail = _tail(m, r % 4)
+    if m > 2 and r in (3, 5):  # rules 3 and 4; m is even, since r is odd
+        steps = tail
     else:
-        if r % 4 == 0:
-            steps = _odd_width4(m) + [_step("inflate_horizontal", k=r // 4)]
-        else:  # r = 2 mod 4
-            steps = (
-                _odd_width4(m)
-                + [_step("inflate_horizontal", k=(r - 6) // 4)]
-                + _odd_degree6(m)
-                + [_step("join_horizontal")]
-            )
+        k = (r - _TAIL_DEGREE[r % 4]) // 4
+        steps = _width4(m) + [_step("inflate_horizontal", k=k)]
+        if tail:
+            steps += tail + [_step("join_horizontal")]
 
     trace = RouteTrace(tuple(steps))
     return replay(trace), trace
+
+
+# Row degree c of the tail that completes degree r, indexed by r mod 4.
+_TAIL_DEGREE = (0, 5, 6, 3)
+
+
+def _width4(m: int) -> list[TraceStep]:
+    """Shiftable (m, 2m; 4, 2) for any m >= 2."""
+    if m == 2:
+        return [_step("seed", id="S_2x4")]
+    return _even_width4(m) if m % 2 == 0 else _odd_width4(m)
+
+
+def _tail(m: int, residue: int) -> list[TraceStep]:
+    """Steps for the (m, ·; c, 2) tail, c = _TAIL_DEGREE[residue]; none at c = 0."""
+    if residue == 0:
+        return []
+    if m == 2:
+        return [_step("seed", id="S_2x3")]
+    if residue == 2:
+        return _even_degree6(m) if m % 2 == 0 else _odd_degree6(m)
+    block = "five_column_block" if residue == 1 else "three_column_block"
+    return [_step(block, m=m), _step("spread")]
 
 
 def _even_width4(m: int) -> list[TraceStep]:

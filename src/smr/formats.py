@@ -38,12 +38,12 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
         raise ParseError("top-level JSON value must be an object")
     try:
         p = Params(obj["m"], obj["n"], obj["r"], obj["s"])
-        triples = [(int(i), int(j), int(e)) for i, j, e in obj["cells"]]
+        # cell fields pass through as parsed, so SignedArray rejects 1.9, true and "1"
+        a = SignedArray.from_cells(p.m, p.n, [(i, j, e) for i, j, e in obj["cells"]])
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    a = SignedArray.from_cells(p.m, p.n, triples)
     return a, p
 
 
@@ -118,15 +118,16 @@ def _infer_params(triples: list[tuple[int, int, int]]) -> Params:
 def to_grid(a: SignedArray) -> str:
     """Text grid: one line per row, right-aligned entries, '.' when empty."""
     width = max((len(str(e)) for e in a.cells.values()), default=1)
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(a.rows + 1)]
+    for (i, j), e in a.cells.items():
+        by_row[i].append((j, e))
+    blank = ".".rjust(width)
     lines = []
-    for i in range(1, a.rows + 1):
-        row = a.row(i)
-        lines.append(
-            " ".join(
-                (str(row[j]) if j in row else ".").rjust(width)
-                for j in range(1, a.cols + 1)
-            )
-        )
+    for row in by_row[1:]:
+        fields = [blank] * a.cols
+        for j, e in row:
+            fields[j - 1] = str(e).rjust(width)
+        lines.append(" ".join(fields))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,9 +1,10 @@
 """Catalog of fixed base arrays used by the construction dispatcher.
 
 Each seed is a small hand-built signed magic rectangle, stored as data and
-validated when first requested.  Seed names encode the array shape.  All
-seeds are shiftable except S_2x3, which the horizontal join only ever uses
-as its unshifted operand.
+validated when first requested.  Seed names encode the array shape; the
+catalog's key order is ``SEED_IDS``.  Shiftability is computed from the
+array, not stored: all seeds are shiftable except S_2x3, which the
+horizontal join only ever uses as its unshifted operand.
 
 In the dense literals below, 0 marks an empty cell; no stored entry is zero.
 """
@@ -12,25 +13,13 @@ from __future__ import annotations
 
 from .core import Params, SignedArray, is_shiftable, verify_smr
 
-SEED_IDS = (
-    "S_2x4",
-    "S_2x3",
-    "S_4x12",
-    "S_6x18",
-    "S_5x10",
-    "S_3x6",
-    "S_5x15",
-    "S_3x9",
-)
-
-_CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
+_CATALOG: dict[str, tuple[Params, list[list[int]]]] = {
     "S_2x4": (
         Params(2, 4, 4, 2),
         [
             [1, -2, -3, 4],
             [-1, 2, 3, -4],
         ],
-        True,
     ),
     "S_2x3": (
         Params(2, 3, 3, 2),
@@ -38,7 +27,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [1, 2, -3],
             [-1, -2, 3],
         ],
-        False,
     ),
     "S_4x12": (
         Params(4, 12, 6, 2),
@@ -48,7 +36,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [0, 0, -3, 4, 0, 0, -7, 8, 0, 0, 10, -12],
             [0, 0, 3, -4, 0, 0, 7, -8, 0, 0, -10, 12],
         ],
-        True,
     ),
     "S_6x18": (
         Params(6, 18, 6, 2),
@@ -60,7 +47,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [1, 0, 0, 0, -5, 0, 0, 0, 0, 0, 11, -12, -13, 0, 0, 0, 0, 18],
             [0, 2, 0, 0, 0, -6, -7, 0, 0, 0, 0, 12, 0, 0, 0, 0, 17, -18],
         ],
-        True,
     ),
     "S_5x10": (
         Params(5, 10, 4, 2),
@@ -71,7 +57,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [0, 0, -3, 4, 0, 0, 0, 8, -9, 0],
             [0, 0, 0, -4, 5, 0, 0, 0, 9, -10],
         ],
-        True,
     ),
     "S_3x6": (
         Params(3, 6, 4, 2),
@@ -80,7 +65,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [-1, 2, 0, 4, -5, 0],
             [0, -2, 3, 0, 5, -6],
         ],
-        True,
     ),
     "S_5x15": (
         Params(5, 15, 6, 2),
@@ -91,7 +75,6 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [0, 0, 0, 4, -5, 0, 0, 8, -9, 0, 0, -12, 0, 14, 0],
             [-1, 0, 0, 0, 5, 0, 0, 0, 9, -10, 11, 0, 0, -14, 0],
         ],
-        True,
     ),
     "S_3x9": (
         Params(3, 9, 6, 2),
@@ -100,9 +83,10 @@ _CATALOG: dict[str, tuple[Params, list[list[int]], bool]] = {
             [0, 2, -3, 4, -5, 0, -7, 0, 9],
             [-1, 0, 3, 0, 5, -6, 0, 8, -9],
         ],
-        True,
     ),
 }
+
+SEED_IDS = tuple(_CATALOG)
 
 _cache: dict[str, tuple[SignedArray, Params]] = {}
 
@@ -116,18 +100,14 @@ def seed(seed_id: str) -> tuple[SignedArray, Params]:
     if seed_id not in _CATALOG:
         raise KeyError(f"unknown seed id {seed_id!r}; known: {', '.join(SEED_IDS)}")
     if seed_id not in _cache:
-        params, grid, shiftable = _CATALOG[seed_id]
+        params, grid = _CATALOG[seed_id]
         array = SignedArray.from_dense(grid)
         report = verify_smr(array, params)
         assert report.ok, f"seed {seed_id} fails validation: {report}"
-        assert is_shiftable(array) == shiftable, (
-            f"seed {seed_id} shiftability is {not shiftable}, expected {shiftable}"
-        )
         _cache[seed_id] = (array, params)
     return _cache[seed_id]
 
 
 def seed_is_shiftable(seed_id: str) -> bool:
-    if seed_id not in _CATALOG:
-        raise KeyError(f"unknown seed id {seed_id!r}")
-    return _CATALOG[seed_id][2]
+    """Whether the seed balances signs in every line; KeyError if unknown."""
+    return is_shiftable(seed(seed_id)[0])

@@ -34,6 +34,16 @@ def support_half(a: SignedArray) -> int:
     return len(a.cells) // 2
 
 
+def _place(
+    cells: dict[tuple[int, int], int], a: SignedArray, t: int, row_off: int, col_off: int
+) -> dict[tuple[int, int], int]:
+    """Write a's cells into ``cells``, each entry moved t away from zero and
+    each position offset by (row_off, col_off).  Returns ``cells``."""
+    for (i, j), e in a.cells.items():
+        cells[i + row_off, j + col_off] = e + t if e > 0 else e - t
+    return cells
+
+
 def shift(a: SignedArray, t: int) -> SignedArray:
     """Increase every entry's absolute value by t.
 
@@ -46,8 +56,7 @@ def shift(a: SignedArray, t: int) -> SignedArray:
         raise NotShiftableError("refusing to shift a non-shiftable array")
     if t == 0:
         return a
-    cells = {(i, j): e + t if e > 0 else e - t for (i, j), e in a.cells.items()}
-    return SignedArray(a.rows, a.cols, cells)
+    return SignedArray(a.rows, a.cols, _place({}, a, t, 0, 0))
 
 
 def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
@@ -66,10 +75,7 @@ def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
     quantum = support_half(a)
     cells: dict[tuple[int, int], int] = {}
     for b in range(k):
-        t = b * quantum
-        off = b * a.cols
-        for (i, j), e in a.cells.items():
-            cells[i, j + off] = e + t if e > 0 else e - t
+        _place(cells, a, b * quantum, 0, b * a.cols)
     return SignedArray(a.rows, a.cols * k, cells)
 
 
@@ -88,11 +94,7 @@ def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
     quantum = support_half(a)
     cells: dict[tuple[int, int], int] = {}
     for b in range(k):
-        t = b * quantum
-        row_off = b * a.rows
-        col_off = b * a.cols
-        for (i, j), e in a.cells.items():
-            cells[i + row_off, j + col_off] = e + t if e > 0 else e - t
+        _place(cells, a, b * quantum, b * a.rows, b * a.cols)
     return SignedArray(a.rows * k, a.cols * k, cells)
 
 
@@ -134,10 +136,7 @@ def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
         raise JoinMismatchError(
             f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
         )
-    shifted = shift(a, support_half(b))
-    cells = dict(b.cells)
-    for (i, j), e in shifted.cells.items():
-        cells[i, j + b.cols] = e
+    cells = _place(dict(b.cells), a, support_half(b), 0, b.cols)
     return SignedArray(a.rows, a.cols + b.cols, cells)
 
 
@@ -167,8 +166,5 @@ def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
             raise JoinMismatchError(
                 f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
             )
-    shifted = shift(a, support_half(b))
-    cells = dict(b.cells)
-    for (i, j), e in shifted.cells.items():
-        cells[i + b.rows, j + b.cols] = e
+    cells = _place(dict(b.cells), a, support_half(b), b.rows, b.cols)
     return SignedArray(a.rows + b.rows, a.cols + b.cols, cells)

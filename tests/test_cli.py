@@ -127,6 +127,12 @@ def test_verify_parse_failure_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", path)
     assert code == 1
     assert "parse failure" in err
+    # a float entry is a parse failure, not an entry int() would read as 1
+    a, p = seed("S_2x3")
+    path.write_text(to_json(a, p).replace("[1, 1, 1]", "[1, 1, 1.9]"), encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", path)
+    assert code == 1
+    assert "parse failure" in err
 
 
 def test_verify_missing_file_exit_1(capsys):

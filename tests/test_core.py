@@ -28,6 +28,10 @@ def test_params_validation():
         Params(1, 2, 4, 2)  # s > m
     with pytest.raises(ValueError):
         Params(0, 1, 1, 0)
+    with pytest.raises(ValueError):
+        Params(2, 4, 4, True)  # bool is an int subclass, not a count
+    with pytest.raises(ValueError):
+        Params(2.0, 4, 4, 2)
 
 
 def test_support_set_even_case():
@@ -54,6 +58,16 @@ def test_array_bounds_checked():
         SignedArray(2, 2, {(3, 1): 5})
     with pytest.raises(ValueError):
         SignedArray(2, 2, {(0, 1): 5})
+    for cells in (
+        {(1.0, 1): 1, (2, 1): -1},
+        {(1, True): 1, (2, 1): -1},
+        {(1, 1): 1.0, (2, 1): -1},
+        {(1, 1): True, (2, 1): -1},
+    ):
+        with pytest.raises(ValueError):
+            SignedArray(2, 2, cells)
+    with pytest.raises(ValueError):
+        SignedArray(2.0, 2, {})
 
 
 def test_from_cells_rejects_duplicates():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from smr import (
@@ -143,6 +145,23 @@ def test_trace_replay_matches_everywhere():
         n = r if m == 2 else (m * r) // 2
         array, trace = construct(m, n, r)
         assert replay(trace) == array
+
+
+def test_every_sweep_trace_pinned():
+    # any added, dropped or reordered step on any route changes the digest
+    digest = hashlib.sha256()
+    points = 0
+    for m in range(2, 41):
+        for r in range(3, 41):
+            n = r if m == 2 else (m * r) // 2
+            if feasibility(m, n, r).feasible:
+                _, trace = construct(m, n, r)
+                digest.update(f"{m},{n},{r}\n{trace}\n".encode())
+                points += 1
+    assert points == 1103
+    assert digest.hexdigest() == (
+        "15eee29429ef191275a2f0282c1f4b37bdfb7b0cc4d36fd8e3229c1b634e812e"
+    )
 
 
 def test_trace_is_readable():

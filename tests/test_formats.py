@@ -89,6 +89,22 @@ def test_json_parse_errors_carry_location():
     with pytest.raises(ParseError):
         from_json("[1, 2, 3]")
 
+    # int() coercion would read 1.9 and true as 1 and let a tampered file verify
+    a, p = seed("S_2x3")
+    text = to_json(a, p)
+    for old, new in [
+        ("[1, 1, 1]", "[1, 1, 1.9]"),
+        ("[1, 1, 1]", "[1, 1, true]"),
+        ("[1, 1, 1]", '[1, 1, "1"]'),
+        ("[1, 1, 1]", "[1.0, 1, 1]"),
+        ("[1, 1, 1]", "[1, false, 1]"),
+        ('"m": 2', '"m": 2.0'),
+        ('"r": 3', '"r": true'),
+    ]:
+        assert old in text
+        with pytest.raises(ParseError):
+            from_json(text.replace(old, new, 1))
+
 
 def test_csv_parse_errors():
     with pytest.raises(ParseError, match="header"):
