@@ -17,7 +17,7 @@ from . import formats
 from .core import Params, verify_smr
 from .dispatch import InfeasibleError, RouteTrace, construct, feasibility
 from .oracle import DEFAULT_BUDGET, cross_check, decide
-from .seeds import SEED_IDS, seed
+from .seeds import seed
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -67,7 +67,10 @@ def _render_trace(trace: RouteTrace) -> str:
     return "".join(f"# trace: {step}\n" for step in trace.steps)
 
 
-def _default_budget() -> int:
+def _budget(args: argparse.Namespace) -> int:
+    """The node budget: --budget, else SMR_BUDGET, else DEFAULT_BUDGET."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("SMR_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -143,7 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
@@ -168,19 +171,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_seed(args: argparse.Namespace) -> int:
     try:
         array, params = seed(args.id)
-    except KeyError:
-        print(
-            f"unknown seed id {args.id!r}; known: {', '.join(SEED_IDS)}",
-            file=sys.stderr,
-        )
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(_render(array, params, args.format))
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    outcome = decide(args.m, args.r, budget)
+    outcome = decide(args.m, args.r, _budget(args))
     print(f"{outcome.status} (nodes: {outcome.nodes})")
     if outcome.status == "exists" and args.witness and outcome.witness is not None:
         params = Params(args.m, (args.m * args.r) // 2, args.r, 2)
@@ -191,8 +190,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    report = cross_check(args.max_m, args.max_r, budget)
+    report = cross_check(args.max_m, args.max_r, _budget(args))
     print(report)
     if report.disagreements:
         return EXIT_VERIFY_FAILED

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import SignedArray, entry_multiset
+from .core import SignedArray, SupportSet, entry_multiset
 
 
 class BlockError(ValueError):
@@ -35,13 +35,9 @@ class CompactBlock:
         a = self.array
         width = a.cols
         m = a.rows
-        expected = tuple(range(-(width * m) // 2, 0)) + tuple(
-            range(1, (width * m) // 2 + 1)
-        )
-        if entry_multiset(a) != expected:
-            raise BlockError(
-                f"block entries are not exactly +-1..+-{(width * m) // 2}"
-            )
+        half = (width * m) // 2
+        if entry_multiset(a) != SupportSet(half, includes_zero=False).sorted_values():
+            raise BlockError(f"block entries are not exactly +-1..+-{half}")
         counts = [0] * (m + 1)
         sums = [0] * (m + 1)
         row_magnitudes: list[set[int]] = [set() for _ in range(m + 1)]

@@ -159,7 +159,9 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     Every rule but 3 and 4 is one formula: the width-4 base for m, inflated
     horizontally to degree r - c, joined after the degree-c tail for r mod 4
     (c = 0, 5, 6, 3; no tail and no join when c = 0).  Rules 3 and 4 are the
-    tail alone.
+    tail alone.  The width-4 and degree-6 bases are one rule too: copies of
+    the S_2x4 or S_4x12 seed along the diagonal, joined after a cap seed
+    chosen by m mod 4 when the seed's row count does not divide m.
     """
     verdict = feasibility(m, n, r)
     if not verdict.feasible:
@@ -184,9 +186,9 @@ _TAIL_DEGREE = (0, 5, 6, 3)
 
 def _width4(m: int) -> list[TraceStep]:
     """Shiftable (m, 2m; 4, 2) for any m >= 2."""
-    if m == 2:
+    if m == 2:  # rules 1 and 2 use the bare seed, not its one-copy inflation
         return [_step("seed", id="S_2x4")]
-    return _even_width4(m) if m % 2 == 0 else _odd_width4(m)
+    return _diagonal(m, 4)
 
 
 def _tail(m: int, residue: int) -> list[TraceStep]:
@@ -196,65 +198,37 @@ def _tail(m: int, residue: int) -> list[TraceStep]:
     if m == 2:
         return [_step("seed", id="S_2x3")]
     if residue == 2:
-        return _even_degree6(m) if m % 2 == 0 else _odd_degree6(m)
+        return _diagonal(m, 6)
     block = "five_column_block" if residue == 1 else "three_column_block"
     return [_step(block, m=m), _step("spread")]
 
 
-def _even_width4(m: int) -> list[TraceStep]:
-    """Shiftable (m, 2m; 4, 2) for even m."""
-    return [_step("seed", id="S_2x4"), _step("inflate_diagonal", k=m // 2)]
+# Diagonal bases by row degree c: (base seed, {m mod 4: cap seed}).  The cap
+# fills the rows that copies of the base cannot; the copies follow it.
+_DIAGONAL = {
+    4: ("S_2x4", {1: "S_5x10", 3: "S_3x6"}),
+    6: ("S_4x12", {1: "S_5x15", 2: "S_6x18", 3: "S_3x9"}),
+}
 
 
-def _even_degree6(m: int) -> list[TraceStep]:
-    """Shiftable (m, 3m; 6, 2) for even m >= 4."""
-    if m % 4 == 0:
-        return [_step("seed", id="S_4x12"), _step("inflate_diagonal", k=m // 4)]
+def _rows(seed_id: str) -> int:
+    return seed(seed_id)[1].m
+
+
+def _diagonal(m: int, c: int) -> list[TraceStep]:
+    """Shiftable (m, cm/2; c, 2), c = 4 or 6: the base seed inflated
+    diagonally, joined after the cap seed for m mod 4 when there is one."""
+    base, caps = _DIAGONAL[c]
+    cap = caps.get(m % 4)
+    if cap is None:
+        return [_step("seed", id=base), _step("inflate_diagonal", k=m // _rows(base))]
+    if m == _rows(cap) and m % 2:  # odd m = 3, 5 is the cap alone
+        return [_step("seed", id=cap)]
+    # at even m = 6 the inflation has k = 0 and is still recorded
+    k = (m - _rows(cap)) // _rows(base)
     return [
-        _step("seed", id="S_4x12"),
-        _step("inflate_diagonal", k=(m - 6) // 4),
-        _step("seed", id="S_6x18"),
-        _step("join_diagonal"),
-    ]
-
-
-def _odd_width4(m: int) -> list[TraceStep]:
-    """Shiftable (m, 2m; 4, 2) for odd m >= 3."""
-    if m == 3:
-        return [_step("seed", id="S_3x6")]
-    if m == 5:
-        return [_step("seed", id="S_5x10")]
-    if m % 4 == 3:
-        return [
-            _step("seed", id="S_2x4"),
-            _step("inflate_diagonal", k=(m - 3) // 2),
-            _step("seed", id="S_3x6"),
-            _step("join_diagonal"),
-        ]
-    return [
-        _step("seed", id="S_2x4"),
-        _step("inflate_diagonal", k=(m - 5) // 2),
-        _step("seed", id="S_5x10"),
-        _step("join_diagonal"),
-    ]
-
-
-def _odd_degree6(m: int) -> list[TraceStep]:
-    """Shiftable (m, 3m; 6, 2) for odd m >= 3."""
-    if m == 3:
-        return [_step("seed", id="S_3x9")]
-    if m == 5:
-        return [_step("seed", id="S_5x15")]
-    if m % 4 == 1:
-        return [
-            _step("seed", id="S_4x12"),
-            _step("inflate_diagonal", k=(m - 5) // 4),
-            _step("seed", id="S_5x15"),
-            _step("join_diagonal"),
-        ]
-    return [
-        _step("seed", id="S_4x12"),
-        _step("inflate_diagonal", k=(m - 3) // 4),
-        _step("seed", id="S_3x9"),
+        _step("seed", id=base),
+        _step("inflate_diagonal", k=k),
+        _step("seed", id=cap),
         _step("join_diagonal"),
     ]

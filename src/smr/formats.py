@@ -34,6 +34,8 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -79,7 +81,10 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
             raise ParseError(f"line {lineno}: {exc}") from exc
     if params is None:
         params = _infer_params(triples)
-    a = SignedArray.from_cells(params.m, params.n, triples)
+    try:
+        a = SignedArray.from_cells(params.m, params.n, triples)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return a, params
 
 
@@ -107,6 +112,8 @@ def _infer_params(triples: list[tuple[int, int, int]]) -> Params:
         raise ParseError("cannot infer parameters from an empty cell list")
     m = max(i for i, _, _ in triples)
     n = max(j for _, j, _ in triples)
+    if m < 1 or n < 1:
+        raise ParseError(f"cannot infer parameters from maximal indices {m}, {n}")
     if len(triples) % m or len(triples) % n:
         raise ParseError("cell count is not divisible by the inferred dimensions")
     try:

@@ -15,6 +15,7 @@ overrun is reported as a cutoff, not as a decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Params, SignedArray, verify_smr
 from .dispatch import Verdict, feasibility
@@ -42,11 +43,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     counts = [0] * m
     sums = [0] * m
-    touched = [False] * m
     pos_row = [0] * (n + 1)
     neg_row = [0] * (n + 1)
     nodes = 0
-    cutoff = False
 
     def viable(remaining: int) -> bool:
         # every row must reach exactly r entries and a zero sum using
@@ -59,54 +58,51 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 return False
         return True
 
-    def candidates(exclude: int = -1) -> list[int]:
-        # open rows already in use, plus the single lowest untouched row
-        out = [i for i in range(m) if touched[i] and counts[i] < r and i != exclude]
-        for i in range(m):
-            if not touched[i]:
-                out.append(i)
-                break
-        return out
-
-    def assign(k: int) -> bool:
-        nonlocal nodes, cutoff
-        if k == 0:
-            return True  # viability at remaining = 0 forced full rows and zero sums
-        for p in candidates():
-            p_was_new = not touched[p]
-            touched[p] = True
+    def minus_rows(k: int, used: int) -> Iterator[int]:
+        # Rows 0..used-1 are in use.  Each sign of k goes to an open row in
+        # use or to the lowest unused row.  For each row of +k in turn, this
+        # places +k there and yields the rows for -k; +k stays placed while
+        # they are tried and is lifted before the next row of +k.
+        open_rows = [i for i in range(used) if counts[i] < r]
+        for p in open_rows + ([used] if used < m else []):
             counts[p] += 1
             sums[p] += k
             pos_row[k] = p
-            for q in candidates(exclude=p):
-                nodes += 1
-                if nodes > budget:
-                    cutoff = True
-                    break
-                q_was_new = not touched[q]
-                touched[q] = True
-                counts[q] += 1
-                sums[q] -= k
-                neg_row[k] = q
-                if viable(k - 1) and assign(k - 1):
-                    return True
-                counts[q] -= 1
-                sums[q] += k
-                if q_was_new:
-                    touched[q] = False
-                if cutoff:
-                    break
+            yield from [i for i in open_rows if i != p]
+            if max(used, p + 1) < m:
+                yield max(used, p + 1)
             counts[p] -= 1
             sums[p] -= k
-            if p_was_new:
-                touched[p] = False
-            if cutoff:
-                break
-        return False
 
-    found = viable(n) and assign(n)
-    if cutoff:
-        return SearchOutcome("cutoff", None, nodes)
+    # one frame per value k = n, n-1, ...: its row iterator and rows in use
+    frames = [(minus_rows(n, 0), 0)] if viable(n) else []
+    found = False
+    while frames and not found:
+        k = n + 1 - len(frames)
+        candidates, used = frames[-1]
+        for q in candidates:
+            nodes += 1
+            if nodes > budget:
+                return SearchOutcome("cutoff", None, nodes)
+            counts[q] += 1
+            sums[q] -= k
+            neg_row[k] = q
+            if viable(k - 1):
+                # at k = 1, viability at remaining = 0 forced full rows and zero sums
+                found = k == 1
+                if not found:
+                    now_used = max(used, pos_row[k] + 1, q + 1)
+                    frames.append((minus_rows(k - 1, now_used), now_used))
+                break
+            counts[q] -= 1
+            sums[q] += k
+        else:
+            # k is exhausted; its iterator lifted its last +k, so undo the -(k+1)
+            frames.pop()
+            if frames:
+                q = neg_row[k + 1]
+                counts[q] -= 1
+                sums[q] += k + 1
     if not found:
         return SearchOutcome("not_exists", None, nodes)
 

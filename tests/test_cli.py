@@ -133,6 +133,23 @@ def test_verify_parse_failure_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", path)
     assert code == 1
     assert "parse failure" in err
+    # a file that is not UTF-8 is unreadable
+    path.write_bytes(b"row,col,value\n1,1,\xff\n")
+    code, _, err = run_cli(capsys, "verify", path)
+    assert code == 1
+    assert "cannot read" in err
+    # inferred parameters from a 0 index; out-of-grid and duplicate cells;
+    # JSON nested past the interpreter's recursion limit
+    for text in (
+        "row,col,value\n0,1,1\n0,2,-1\n",
+        "# m=2 n=3 r=3 s=2\nrow,col,value\n3,1,1\n",
+        "# m=2 n=3 r=3 s=2\nrow,col,value\n1,1,1\n1,1,-1\n",
+        '{"m": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ):
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert "parse failure" in err
 
 
 def test_verify_missing_file_exit_1(capsys):
@@ -144,6 +161,9 @@ def test_oracle_exists(capsys):
     code, out, _ = run_cli(capsys, "oracle", 2, 4, "--witness")
     assert code == 0
     assert out.startswith("exists (nodes: ")
+    # a witness 1200 values deep, past the interpreter's recursion limit
+    code, out, _ = run_cli(capsys, "oracle", 2, 1200, "--budget", 100000)
+    assert (code, out) == (0, "exists (nodes: 2048)\n")
 
 
 def test_oracle_not_exists(capsys):
@@ -156,6 +176,9 @@ def test_oracle_cutoff_exit_4(capsys):
     code, out, _ = run_cli(capsys, "oracle", 6, 8, "--budget", 5)
     assert code == 4
     assert out.startswith("cutoff")
+    # 1202 values deep, past the interpreter's recursion limit
+    code, out, _ = run_cli(capsys, "oracle", 2, 1202, "--budget", 100000)
+    assert (code, out) == (4, "cutoff (nodes: 100001)\n")
 
 
 def test_oracle_budget_env_override(capsys, monkeypatch):

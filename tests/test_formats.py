@@ -88,6 +88,8 @@ def test_json_parse_errors_carry_location():
         from_json('{"m": 2, "n": 3, "r": 3}')
     with pytest.raises(ParseError):
         from_json("[1, 2, 3]")
+    with pytest.raises(ParseError, match="nested"):
+        from_json('{"m": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
     # int() coercion would read 1.9 and true as 1 and let a tampered file verify
     a, p = seed("S_2x3")
@@ -113,6 +115,14 @@ def test_csv_parse_errors():
         from_csv("row,col,value\n1,1\n")
     with pytest.raises(ParseError, match="line 3"):
         from_csv("row,col,value\n1,1,1\n1,2,x\n")
+    with pytest.raises(ParseError, match="infer"):
+        from_csv("row,col,value\n0,1,1\n0,2,-1\n")
+    with pytest.raises(ParseError, match="infer"):
+        from_csv("row,col,value\n1,0,1\n2,0,-1\n")
+    with pytest.raises(ParseError, match="outside"):
+        from_csv("# m=2 n=3 r=3 s=2\nrow,col,value\n3,1,1\n")
+    with pytest.raises(ParseError, match="duplicate"):
+        from_csv("# m=2 n=3 r=3 s=2\nrow,col,value\n1,1,1\n1,1,-1\n")
 
 
 def test_grid_parse_errors():

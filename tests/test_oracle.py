@@ -40,6 +40,9 @@ def test_budget_cutoff_reported_honestly():
     outcome = decide(6, 8, budget=5)
     assert outcome.status == "cutoff"
     assert outcome.nodes == 6  # first count past the budget stops the search
+    # a search deeper than the interpreter's recursion limit still cuts off
+    outcome = decide(2, 1202, budget=20000)
+    assert (outcome.status, outcome.nodes) == ("cutoff", 20001)
 
 
 def test_decide_deterministic():
