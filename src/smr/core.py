@@ -16,7 +16,7 @@ floats such as ``1.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 
 class DimensionError(ValueError):
@@ -105,6 +105,9 @@ class SignedArray:
     rows: int
     cols: int
     cells: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    # Shiftability known by construction, recorded by ``_trusted``; None when
+    # unknown.  Not a field: it takes no part in equality, repr or __init__.
+    _shiftable: ClassVar[bool | None] = None
 
     def __post_init__(self) -> None:
         if type(self.rows) is not int or type(self.cols) is not int:
@@ -122,6 +125,30 @@ class SignedArray:
             if type(e) is not int:
                 raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
         object.__setattr__(self, "cells", frozen)
+
+    @classmethod
+    def _trusted(
+        cls,
+        rows: int,
+        cols: int,
+        cells: dict[tuple[int, int], int],
+        shiftable: bool | None = None,
+    ) -> SignedArray:
+        """Wrap ``cells`` without the checks of ``__post_init__``; the dict
+        is taken, not copied.
+
+        Only for the outputs of transforms and direct blocks, which place
+        cells of validated (or themselves trusted) operands at ``int``
+        offsets inside their own ``rows`` x ``cols``, so every check would
+        pass.  ``shiftable`` records a shiftability known by construction.
+        """
+        a = object.__new__(cls)
+        object.__setattr__(a, "rows", rows)
+        object.__setattr__(a, "cols", cols)
+        object.__setattr__(a, "cells", cells)
+        if shiftable is not None:
+            object.__setattr__(a, "_shiftable", shiftable)
+        return a
 
     @classmethod
     def from_cells(

@@ -10,6 +10,10 @@ axiom of an (m, cm/2; c, 2) rectangle.
 The five-column block is degenerate in exactly two rows when the row count
 is 2 mod 4; an entry swap between two row pairs in the outer columns repairs
 it.  There is no five-column construction at m = 2.
+
+Blocks and spread outputs are built with ``SignedArray._trusted``: their
+cells lie inside their own shape by construction, and ``CompactBlock``
+checks the block invariants that spreading relies on.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ class CompactBlock:
 
 def three_column_block(m: int) -> CompactBlock:
     """The m x 3 block spreading to an (m, 3m/2; 3, 2) rectangle, m even >= 2."""
-    if m < 2 or m % 2:
-        raise ValueError(f"row count must be even and at least 2, got {m}")
+    if type(m) is not int or m < 2 or m % 2:
+        raise ValueError(f"row count must be an even integer of at least 2, got {m!r}")
     half = m // 2
     top = 3 * half  # largest absolute entry
     cells: dict[tuple[int, int], int] = {}
@@ -69,7 +73,7 @@ def three_column_block(m: int) -> CompactBlock:
         cells[i, 1] = half - i
         cells[i, 2] = -i
         cells[i, 3] = -half + 2 * i
-    return CompactBlock(SignedArray(m, 3, cells), "three")
+    return CompactBlock(SignedArray._trusted(m, 3, cells), "three")
 
 
 def five_column_block(m: int) -> CompactBlock:
@@ -81,16 +85,16 @@ def five_column_block(m: int) -> CompactBlock:
     row and its predecessor, which restores the no-pair invariant while
     keeping row sums at zero.
     """
-    if m < 4 or m % 2:
-        raise ValueError(f"row count must be even and at least 4, got {m}")
+    if type(m) is not int or m < 4 or m % 2:
+        raise ValueError(f"row count must be an even integer of at least 4, got {m!r}")
     cells = _raw_five_column_cells(m)
     if m % 4 == 0:
-        return CompactBlock(SignedArray(m, 5, cells), "five")
+        return CompactBlock(SignedArray._trusted(m, 5, cells), "five")
     for upper in ((m - 2) // 4, (3 * m - 2) // 4):
         lower = upper + 1
         for col in (1, 5):
             cells[upper, col], cells[lower, col] = cells[lower, col], cells[upper, col]
-    return CompactBlock(SignedArray(m, 5, cells), "five_repaired")
+    return CompactBlock(SignedArray._trusted(m, 5, cells), "five_repaired")
 
 
 def _raw_five_column_cells(m: int) -> dict[tuple[int, int], int]:
@@ -128,4 +132,4 @@ def spread(block: CompactBlock) -> SignedArray:
                 f"row {i} places both {cells[target]} and {e} at column {abs(e)}"
             )
         cells[target] = e
-    return SignedArray(a.rows, width, cells)
+    return SignedArray._trusted(a.rows, width, cells)

@@ -11,6 +11,7 @@ so a result can be replayed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import SignedArray
 from .direct import CompactBlock, five_column_block, spread, three_column_block
@@ -94,44 +95,70 @@ def _step(op: str, **kwargs: object) -> TraceStep:
     return TraceStep(op, tuple(sorted(kwargs.items())))
 
 
+def _seed_array(seed_id: str) -> SignedArray:
+    return seed(seed_id)[0]
+
+
+# Trace ops: the function, the kinds of the operands it pops (a join's fixed
+# operand last, as it is pushed last), and its arguments with their types.
+_OPS: dict[str, tuple[Callable, tuple[type, ...], tuple[tuple[str, type], ...]]] = {
+    "seed": (_seed_array, (), (("id", str),)),
+    "inflate_horizontal": (inflate_horizontal, (SignedArray,), (("k", int),)),
+    "inflate_diagonal": (inflate_diagonal, (SignedArray,), (("k", int),)),
+    "join_horizontal": (join_horizontal, (SignedArray, SignedArray), ()),
+    "join_diagonal": (join_diagonal, (SignedArray, SignedArray), ()),
+    "three_column_block": (three_column_block, (), (("m", int),)),
+    "five_column_block": (five_column_block, (), (("m", int),)),
+    "spread": (spread, (CompactBlock,), ()),
+}
+
+
 def replay(trace: RouteTrace) -> SignedArray:
-    """Execute a trace and return the resulting array."""
+    """Execute a trace and return the resulting array.
+
+    A malformed trace raises ValueError naming the failing step: an unknown
+    op or seed id, a missing or non-integer argument, too few operands or
+    one of the wrong kind, or a failed precondition of the operator (raised
+    as the operator's own ValueError subclass).  Operands left over at the
+    end raise ValueError too.
+    """
     stack: list[SignedArray | CompactBlock] = []
-
-    def pop_array() -> SignedArray:
-        top = stack.pop()
-        if not isinstance(top, SignedArray):
-            raise ValueError(f"trace expects an array, found {type(top).__name__}")
-        return top
-
-    for st in trace.steps:
-        args = dict(st.args)
-        if st.op == "seed":
-            stack.append(seed(str(args["id"]))[0])
-        elif st.op == "inflate_horizontal":
-            stack.append(inflate_horizontal(pop_array(), int(args["k"])))
-        elif st.op == "inflate_diagonal":
-            stack.append(inflate_diagonal(pop_array(), int(args["k"])))
-        elif st.op == "join_horizontal":
-            b = pop_array()
-            stack.append(join_horizontal(pop_array(), b))
-        elif st.op == "join_diagonal":
-            b = pop_array()
-            stack.append(join_diagonal(pop_array(), b))
-        elif st.op == "three_column_block":
-            stack.append(three_column_block(int(args["m"])))
-        elif st.op == "five_column_block":
-            stack.append(five_column_block(int(args["m"])))
-        elif st.op == "spread":
-            top = stack.pop()
-            if not isinstance(top, CompactBlock):
-                raise ValueError("spread expects a compact block on the stack")
-            stack.append(spread(top))
-        else:
-            raise ValueError(f"unknown trace op {st.op!r}")
+    for number, st in enumerate(trace.steps, start=1):
+        try:
+            _apply(st, stack)
+        except KeyError as exc:  # unknown seed id
+            raise ValueError(f"trace step {number} ({st}): {exc.args[0]}") from exc
+        except ValueError as exc:
+            raise type(exc)(f"trace step {number} ({st}): {exc}") from exc
     if len(stack) != 1:
         raise ValueError(f"trace left {len(stack)} operands on the stack")
-    return pop_array()
+    if not isinstance(stack[0], SignedArray):
+        raise ValueError(f"trace ends with a {type(stack[0]).__name__}, not an array")
+    return stack[0]
+
+
+def _apply(st: TraceStep, stack: list[SignedArray | CompactBlock]) -> None:
+    """Pop the operands of one step and push its result."""
+    if st.op not in _OPS:
+        raise ValueError(f"unknown trace op {st.op!r}")
+    fn, kinds, params = _OPS[st.op]
+    args = dict(st.args)
+    values = []
+    for name, kind in params:
+        if name not in args:
+            raise ValueError(f"missing argument {name!r}")
+        try:
+            values.append(kind(args[name]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad argument {name}={args[name]!r}") from exc
+    if len(stack) < len(kinds):
+        raise ValueError(f"needs {len(kinds)} operand(s), the stack holds {len(stack)}")
+    operands = stack[len(stack) - len(kinds) :]
+    for operand, kind in zip(operands, kinds):
+        if not isinstance(operand, kind):
+            raise ValueError(f"expects {kind.__name__}, found {type(operand).__name__}")
+    del stack[len(stack) - len(kinds) :]
+    stack.append(fn(*operands, *values))
 
 
 def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:

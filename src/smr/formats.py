@@ -154,4 +154,7 @@ def from_grid(text: str) -> SignedArray:
                 except ValueError as exc:
                     raise ParseError(f"bad grid token {token!r}") from exc
         rows.append(entries)
-    return SignedArray.from_dense(rows)
+    try:
+        return SignedArray.from_dense(rows)
+    except ValueError as exc:  # ragged rows
+        raise ParseError(str(exc)) from exc

@@ -8,6 +8,13 @@ The shift quantum of an array is half its cell count (the largest absolute
 entry of a valid array).  Degenerate empty operands are accepted by the
 inflations (k = 0) and act as identities in the joins, so boundary cases of
 the dispatch table need no special-casing.
+
+Outputs are built with ``SignedArray._trusted``: their cells are operand
+cells at ``int`` offsets inside the output's own shape, so the full
+validation would only repeat what the operands already passed.  Inflation
+and shift outputs record that they are shiftable, and join outputs carry
+the fixed operand's recorded flag, so that the shiftability preconditions
+of later steps need not rescan them.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ def support_half(a: SignedArray) -> int:
     return len(a.cells) // 2
 
 
+def _shiftable(a: SignedArray) -> bool:
+    """a's shiftability: the flag recorded by construction, else computed."""
+    return is_shiftable(a) if a._shiftable is None else a._shiftable
+
+
 def _place(
     cells: dict[tuple[int, int], int], a: SignedArray, t: int, row_off: int, col_off: int
 ) -> dict[tuple[int, int], int]:
@@ -50,13 +62,13 @@ def shift(a: SignedArray, t: int) -> SignedArray:
     Requires a shiftable operand: balanced sign counts are exactly what keeps
     every row and column sum at zero after the shift.
     """
-    if t < 0:
-        raise ValueError(f"shift amount must be nonnegative, got {t}")
-    if not is_shiftable(a):
+    if type(t) is not int or t < 0:
+        raise ValueError(f"shift amount must be a nonnegative integer, got {t!r}")
+    if not _shiftable(a):
         raise NotShiftableError("refusing to shift a non-shiftable array")
     if t == 0:
         return a
-    return SignedArray(a.rows, a.cols, _place({}, a, t, 0, 0))
+    return SignedArray._trusted(a.rows, a.cols, _place({}, a, t, 0, 0), True)
 
 
 def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
@@ -66,9 +78,9 @@ def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
     array; copy number b (0-based) is shifted by b times the quantum.  k = 0
     yields the empty m x 0 array.
     """
-    if k < 0:
-        raise ValueError(f"copy count must be nonnegative, got {k}")
-    if not is_shiftable(a):
+    if type(k) is not int or k < 0:
+        raise ValueError(f"copy count must be a nonnegative integer, got {k!r}")
+    if not _shiftable(a):
         raise NotShiftableError("horizontal inflation requires a shiftable array")
     if k == 1:
         return a
@@ -76,7 +88,7 @@ def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
     cells: dict[tuple[int, int], int] = {}
     for b in range(k):
         _place(cells, a, b * quantum, 0, b * a.cols)
-    return SignedArray(a.rows, a.cols * k, cells)
+    return SignedArray._trusted(a.rows, a.cols * k, cells, True)
 
 
 def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
@@ -85,9 +97,9 @@ def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
     Maps an (m, n; r, s) shiftable array to a (km, kn; r, s) shiftable array
     with empty off-diagonal blocks.  k = 0 yields the empty 0 x 0 array.
     """
-    if k < 0:
-        raise ValueError(f"copy count must be nonnegative, got {k}")
-    if not is_shiftable(a):
+    if type(k) is not int or k < 0:
+        raise ValueError(f"copy count must be a nonnegative integer, got {k!r}")
+    if not _shiftable(a):
         raise NotShiftableError("diagonal inflation requires a shiftable array")
     if k == 1:
         return a
@@ -95,7 +107,7 @@ def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
     cells: dict[tuple[int, int], int] = {}
     for b in range(k):
         _place(cells, a, b * quantum, b * a.rows, b * a.cols)
-    return SignedArray(a.rows * k, a.cols * k, cells)
+    return SignedArray._trusted(a.rows * k, a.cols * k, cells, True)
 
 
 def _row_degree(a: SignedArray) -> int:
@@ -125,7 +137,7 @@ def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
         return b
     if a.rows != b.rows:
         raise JoinMismatchError(f"row counts differ: {a.rows} vs {b.rows}")
-    if not is_shiftable(a):
+    if not _shiftable(a):
         raise NotShiftableError("horizontal join requires a shiftable first operand")
     if len(b.cells) % 2:
         raise ParityError(
@@ -137,7 +149,7 @@ def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
             f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
         )
     cells = _place(dict(b.cells), a, support_half(b), 0, b.cols)
-    return SignedArray(a.rows, a.cols + b.cols, cells)
+    return SignedArray._trusted(a.rows, a.cols + b.cols, cells, b._shiftable)
 
 
 def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
@@ -150,7 +162,7 @@ def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
     """
     if a.is_empty and a.rows == 0 and a.cols == 0:
         return b
-    if not is_shiftable(a):
+    if not _shiftable(a):
         raise NotShiftableError("diagonal join requires a shiftable first operand")
     if len(b.cells) % 2:
         raise ParityError(
@@ -167,4 +179,4 @@ def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
                 f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
             )
     cells = _place(dict(b.cells), a, support_half(b), b.rows, b.cols)
-    return SignedArray(a.rows + b.rows, a.cols + b.cols, cells)
+    return SignedArray._trusted(a.rows + b.rows, a.cols + b.cols, cells, b._shiftable)

@@ -41,7 +41,7 @@ def test_three_column_block_m2():
 
 
 def test_three_column_block_rejects_odd_or_small():
-    for m in (0, 1, 3, 7):
+    for m in (0, 1, 3, 7, 4.0, True):
         with pytest.raises(ValueError):
             three_column_block(m)
 
@@ -80,7 +80,7 @@ def test_five_column_block_m12_needs_no_repair():
 
 
 def test_five_column_block_rejects_odd_small_or_two():
-    for m in (0, 2, 3, 5, 7):
+    for m in (0, 2, 3, 5, 7, 8.0):
         with pytest.raises(ValueError):
             five_column_block(m)
 

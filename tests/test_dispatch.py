@@ -8,13 +8,19 @@ import pytest
 
 from smr import (
     InfeasibleError,
+    JoinMismatchError,
+    NotShiftableError,
     Params,
+    RouteTrace,
+    SignedArray,
+    TraceStep,
     construct,
     feasibility,
     is_shiftable,
     replay,
     verify_smr,
 )
+from smr.dispatch import _apply
 
 from goldens import (
     GRID_2x11_CONSTRUCTED,
@@ -162,6 +168,70 @@ def test_every_sweep_trace_pinned():
     assert digest.hexdigest() == (
         "15eee29429ef191275a2f0282c1f4b37bdfb7b0cc4d36fd8e3229c1b634e812e"
     )
+
+
+def test_sweep_outputs_validate_and_flags_hold():
+    # construct skips validation on its intermediates and carries their
+    # shiftability, so recheck both everywhere on the sweep grid
+    for m in range(2, 41):
+        for r in range(3, 41):
+            n = r if m == 2 else (m * r) // 2
+            if not feasibility(m, n, r).feasible:
+                continue
+            a, trace = construct(m, n, r)
+            assert a == SignedArray(a.rows, a.cols, dict(a.cells)), (m, r)
+            stack: list = []
+            for st in trace.steps:
+                _apply(st, stack)
+                top = stack[-1]
+                array = top if isinstance(top, SignedArray) else top.array
+                assert array == SignedArray(array.rows, array.cols, dict(array.cells))
+                if array._shiftable is not None:
+                    assert array._shiftable == is_shiftable(array), (m, r, str(st))
+
+
+def _st(op: str, **args: object) -> TraceStep:
+    return TraceStep(op, tuple(args.items()))
+
+
+S_2x4 = _st("seed", id="S_2x4")
+
+
+@pytest.mark.parametrize(
+    "steps,error,message",
+    [
+        ([S_2x4, _st("rotate")], ValueError, r"step 2 \(rotate\): unknown trace op"),
+        ([_st("seed", id="S_9x9")], ValueError, r"step 1 \(seed id=S_9x9\): unknown seed id"),
+        ([_st("join_horizontal")], ValueError, r"step 1 \(join_horizontal\): needs 2"),
+        ([S_2x4, _st("join_diagonal")], ValueError, r"step 2 .*needs 2 .*the stack holds 1"),
+        ([_st("inflate_horizontal", k=2)], ValueError, r"step 1 .*needs 1"),
+        ([_st("spread")], ValueError, r"step 1 \(spread\): needs 1"),
+        ([S_2x4, _st("inflate_horizontal")], ValueError, r"step 2 .*missing argument 'k'"),
+        ([_st("seed")], ValueError, r"step 1 \(seed\): missing argument 'id'"),
+        ([S_2x4, _st("inflate_diagonal", k="two")], ValueError, r"step 2 .*bad argument k='two'"),
+        ([S_2x4, _st("spread")], ValueError, r"step 2 .*expects CompactBlock, found SignedArray"),
+        (
+            [_st("seed", id="S_2x3"), _st("inflate_horizontal", k=2)],
+            NotShiftableError,
+            r"step 2 .*requires a shiftable array",
+        ),
+        (
+            [S_2x4, _st("seed", id="S_3x6"), _st("join_horizontal")],
+            JoinMismatchError,
+            r"step 3 .*row counts differ: 2 vs 3",
+        ),
+        ([S_2x4, _st("inflate_horizontal", k=-1)], ValueError, r"step 2 .*nonnegative"),
+        ([_st("three_column_block", m=3)], ValueError, r"step 1 .*even"),
+        ([S_2x4, _st("seed", id="S_2x3")], ValueError, "trace left 2 operands"),
+        ([], ValueError, "trace left 0 operands"),
+        ([_st("three_column_block", m=4)], ValueError, "ends with a CompactBlock"),
+    ],
+)
+def test_replay_rejects_bad_traces(steps, error, message):
+    # transform outputs skip validation, so these checks are what stop a
+    # malformed user trace
+    with pytest.raises(error, match=message):
+        replay(RouteTrace(tuple(steps)))
 
 
 def test_trace_is_readable():

@@ -128,6 +128,8 @@ def test_csv_parse_errors():
 def test_grid_parse_errors():
     with pytest.raises(ParseError):
         from_grid("1 2 q\n")
+    with pytest.raises(ParseError, match="ragged"):
+        from_grid("1 2\n3\n")
 
 
 POINTS = [(2, 4, 4), (2, 11, 11), (3, 6, 4), (6, 9, 3), (5, 15, 6), (8, 20, 5)]

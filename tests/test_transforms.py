@@ -66,6 +66,18 @@ def test_shift_3x6_row_one():
     assert sum(shifted.row(1).values()) == 0
 
 
+def test_counts_must_be_nonnegative_integers():
+    # outputs skip validation, so a float shift or count must not get through
+    a, _ = seed("S_2x4")
+    for bad in (-1, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            shift(a, bad)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            inflate_horizontal(a, bad)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            inflate_diagonal(a, bad)
+
+
 def test_shift_rejects_non_shiftable():
     b, _ = seed("S_2x3")
     with pytest.raises(NotShiftableError):
@@ -261,6 +273,10 @@ def test_join_shiftability_follows_fixed_operand():
     assert not is_shiftable(join_horizontal(shiftable_a, non_shiftable_b))
     shiftable_b, _ = seed("S_2x4")
     assert is_shiftable(join_horizontal(shiftable_a, shiftable_b))
+    # the recorded flag is b's: unknown for a seed, True for an inflation
+    assert join_horizontal(shiftable_a, non_shiftable_b)._shiftable is None
+    flagged_b = inflate_diagonal(shiftable_b, 2)
+    assert join_diagonal(inflate_diagonal(shiftable_b, 3), flagged_b)._shiftable is True
 
 
 @settings(max_examples=60)
