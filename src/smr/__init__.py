@@ -32,6 +32,7 @@ from .oracle import (
     CrossCheckReport,
     Disagreement,
     SearchOutcome,
+    SearchStats,
     cross_check,
     decide,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "RouteTrace",
     "SEED_IDS",
     "SearchOutcome",
+    "SearchStats",
     "SignedArray",
     "SupportSet",
     "TraceStep",

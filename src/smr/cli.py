@@ -9,8 +9,10 @@ randomness, byte-identical across runs for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import time
 from typing import Sequence
 
 from . import formats
@@ -110,6 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("r", type=int)
     p_oracle.add_argument("--budget", type=int, default=None)
     p_oracle.add_argument("--witness", action="store_true")
+    p_oracle.add_argument(
+        "--stats", action="store_true",
+        help="write the search's counters and speed as one JSON line on stderr",
+    )
     _add_format_flags(p_oracle)
 
     p_cross = sub.add_parser(
@@ -179,7 +185,15 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    outcome = decide(args.m, args.r, _budget(args))
+    budget = _budget(args)
+    start = time.perf_counter()
+    outcome = decide(args.m, args.r, budget)
+    elapsed = time.perf_counter() - start
+    if args.stats:
+        stats = {"nodes": outcome.nodes, **outcome.stats._asdict()}
+        stats["elapsed_s"] = round(elapsed, 6)
+        stats["nodes_per_s"] = round(outcome.nodes / elapsed) if elapsed > 0 else 0
+        print(json.dumps(stats), file=sys.stderr)
     print(f"{outcome.status} (nodes: {outcome.nodes})")
     if outcome.status == "exists" and args.witness and outcome.witness is not None:
         params = Params(args.m, (args.m * args.r) // 2, args.r, 2)

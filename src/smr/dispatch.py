@@ -117,7 +117,8 @@ def replay(trace: RouteTrace) -> SignedArray:
     """Execute a trace and return the resulting array.
 
     A malformed trace raises ValueError naming the failing step: an unknown
-    op or seed id, a missing or non-integer argument, too few operands or
+    op or seed id, a missing argument or one not of the exact type (no
+    coercion, so k=2.7, k="3" and k=True fail), too few operands or
     one of the wrong kind, or a failed precondition of the operator (raised
     as the operator's own ValueError subclass).  Operands left over at the
     end raise ValueError too.
@@ -147,10 +148,9 @@ def _apply(st: TraceStep, stack: list[SignedArray | CompactBlock]) -> None:
     for name, kind in params:
         if name not in args:
             raise ValueError(f"missing argument {name!r}")
-        try:
-            values.append(kind(args[name]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad argument {name}={args[name]!r}") from exc
+        if type(args[name]) is not kind:  # no coercion: 2.7, "3" and True are errors
+            raise ValueError(f"bad argument {name}={args[name]!r}")
+        values.append(args[name])
     if len(stack) < len(kinds):
         raise ValueError(f"needs {len(kinds)} operand(s), the stack holds {len(stack)}")
     operands = stack[len(stack) - len(kinds) :]

@@ -180,8 +180,13 @@ def test_criterion_5_search_vs_criterion():
         assert not report.cutoffs, str(report)
         assert report.checked == 48
 
+        report = cross_check(7, 10)
+        assert report.ok, str(report)
+        assert not report.cutoffs, str(report)
+        assert report.checked == 70
+
         assert decide(2, 5).status == "not_exists"
-        for n in range(1, 17):
+        for n in range(1, 41):
             outcome = decide(2, n)
             assert outcome.status != "cutoff", n
             assert (outcome.status == "exists") == (n % 4 in (0, 3)), n

@@ -181,6 +181,33 @@ def test_oracle_cutoff_exit_4(capsys):
     assert (code, out) == (4, "cutoff (nodes: 100001)\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", 4, 5, "--witness", "--json"),  # exists
+        ("oracle", 2, 21),  # not_exists
+        ("oracle", 3, 3),  # odd m*r, no search
+        ("oracle", 8, 5, "--budget", 1000),  # cutoff
+    ],
+)
+def test_oracle_stats_leave_stdout_alone(capsys, argv):
+    import json
+
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    stats_code, stats_out, stats_err = run_cli(capsys, *argv, "--stats")
+    assert (stats_code, stats_out) == (code, out)
+    lines = stats_err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert list(stats) == [
+        "nodes", "table_hits", "table_entries", "frames_pushed", "max_depth",
+        "elapsed_s", "nodes_per_s",
+    ]
+    assert f"(nodes: {stats['nodes']})" in out
+    assert stats["elapsed_s"] >= 0 and stats["nodes_per_s"] >= 0
+
+
 def test_oracle_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SMR_BUDGET", "5")
     code, out, _ = run_cli(capsys, "oracle", 6, 8)

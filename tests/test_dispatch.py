@@ -225,6 +225,12 @@ S_2x4 = _st("seed", id="S_2x4")
         ([S_2x4, _st("seed", id="S_2x3")], ValueError, "trace left 2 operands"),
         ([], ValueError, "trace left 0 operands"),
         ([_st("three_column_block", m=4)], ValueError, "ends with a CompactBlock"),
+        # no coercion of arguments: 2.7 is not run as 2
+        ([S_2x4, _st("inflate_horizontal", k=2.7)], ValueError, r"step 2 .*bad argument k=2\.7"),
+        ([S_2x4, _st("inflate_horizontal", k="3")], ValueError, r"step 2 .*bad argument k='3'"),
+        ([S_2x4, _st("inflate_diagonal", k=True)], ValueError, r"step 2 .*bad argument k=True"),
+        ([_st("three_column_block", m=4.0)], ValueError, r"step 1 .*bad argument m=4\.0"),
+        ([_st("seed", id=7)], ValueError, r"step 1 \(seed id=7\): bad argument id=7"),
     ],
 )
 def test_replay_rejects_bad_traces(steps, error, message):

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from smr import Params, SignedArray, cross_check, decide, verify_smr
+from smr import (
+    Params,
+    SearchOutcome,
+    SearchStats,
+    SignedArray,
+    cross_check,
+    decide,
+    oracle,
+    verify_smr,
+)
 
 
 def test_no_2x5_design():
@@ -73,6 +84,67 @@ def test_cross_check_reports_cutoffs_separately():
     report = cross_check(6, 8, budget=3)
     assert report.cutoffs  # starved search cannot decide the larger points
     assert report.ok  # cutoffs are not disagreements
+
+
+# (m, r) -> nodes of the search without the failed-state table; the table
+# only skips subtrees without a witness, so counts can only fall
+HARD_POINTS = {
+    (8, 3): 26342, (4, 15): 23352, (4, 17): 18192, (3, 20): 17345, (6, 9): 59500,
+    (7, 10): 41067, (4, 19): 32437, (2, 17): 9483, (2, 18): 17521, (2, 21): 112783,
+}
+# sha256 over (m, r, status, sorted witness cells) of every decide(m, r) with
+# m <= 7, r <= 10, then the hard points, computed with the search without
+# the failed-state table
+PINNED_DIGEST = "c4315ae0791ee508174fc5460ef2c673c58c0ae0a84a2980dc83669b3fb2b6a4"
+
+
+def _pinned_outcomes() -> tuple[str, dict[tuple[int, int], SearchOutcome]]:
+    points = [(m, r) for m in range(1, 8) for r in range(1, 11)] + list(HARD_POINTS)
+    digest = hashlib.sha256()
+    outcomes = {}
+    for m, r in points:
+        outcome = decide(m, r)
+        cells = sorted(outcome.witness.cells.items()) if outcome.witness is not None else []
+        digest.update(repr((m, r, outcome.status, cells)).encode())
+        outcomes[m, r] = outcome
+    return digest.hexdigest(), outcomes
+
+
+def test_statuses_and_witnesses_pinned():
+    digest, outcomes = _pinned_outcomes()
+    assert digest == PINNED_DIGEST
+    for point, nodes in HARD_POINTS.items():
+        assert outcomes[point].nodes <= nodes, point
+
+
+def test_full_table_changes_no_answer(monkeypatch):
+    # a table that stops growing after a handful of entries only skips less
+    monkeypatch.setattr(oracle, "_TABLE_BYTES", 500)
+    digest, outcomes = _pinned_outcomes()
+    assert digest == PINNED_DIGEST
+    for (m, r), outcome in outcomes.items():
+        assert outcome.stats.table_entries <= 500 // (8 * m + 75), (m, r)
+    assert outcomes[2, 21].stats.table_entries == 500 // (8 * 2 + 75)
+
+
+def test_search_stats():
+    outcome = decide(4, 5)
+    assert (outcome.status, outcome.nodes) == ("exists", 87)
+    stats = outcome.stats
+    assert stats.max_depth == 10  # every value placed
+    assert stats.table_entries <= stats.frames_pushed <= outcome.nodes
+    assert stats.table_hits > 0
+    refuted = decide(2, 21).stats
+    assert refuted.table_hits > 0 and refuted.max_depth == 21
+    # stats take no part in equality, and the outcome still builds positionally
+    assert outcome == SearchOutcome("exists", outcome.witness, 87)
+    assert decide(3, 3).stats == SearchStats()
+
+
+def test_huge_codes_still_keyed_exactly():
+    # row codes past 64 bits would overflow array("q"); keys fall back to tuples
+    outcome = decide(2, 2_000_000, budget=50)
+    assert (outcome.status, outcome.nodes) == ("cutoff", 51)
 
 
 # column canonicalization: an unrestricted search over column contents finds
