@@ -40,21 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("grid", "json", "csv"), default="grid", dest="format"
-    )
-    p.add_argument(
-        "--grid", action="store_const", const="grid", dest="format",
-        help="shorthand for --format grid",
-    )
-    p.add_argument(
-        "--json", action="store_const", const="json", dest="format",
-        help="shorthand for --format json",
-    )
-    p.add_argument(
-        "--csv", action="store_const", const="csv", dest="format",
-        help="shorthand for --format csv",
-    )
+    names = ("grid", "json", "csv")
+    p.add_argument("--format", choices=names, default="grid", dest="format")
+    for name in names:
+        p.add_argument(
+            f"--{name}", action="store_const", const=name, dest="format",
+            help=f"shorthand for --format {name}",
+        )
 
 
 def _render(a, p: Params, fmt: str) -> str:

@@ -7,16 +7,19 @@ every column sums to zero.  The support set is {+-1, ..., +-(mr/2)} when mr
 is even and {0, +-1, ..., +-((ms-1)/2)} when mr is odd.
 
 Indices are 1-based throughout the public model.  Arrays are sparse maps
-from (row, col) to entry; they are immutable after construction and safe to
-share between threads.  Parameters, dimensions, indices and entries must be
-exact ``int``s: ``bool`` is a subclass of ``int`` and is rejected, as are
-floats such as ``1.0``.
+from (row, col) to entry, immutable after construction: ``cells`` is a
+read-only view, and a write to it raises ``TypeError``.  That is why the
+unchecked outputs of the transforms and the cached seeds are safe to share,
+between calls and between threads.  Parameters, dimensions, indices and
+entries must be exact ``int``s: ``bool`` is a subclass of ``int`` and is
+rejected, as are floats such as ``1.0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping
 
 
 class DimensionError(ValueError):
@@ -51,10 +54,6 @@ class Params:
         if self.s > self.m:
             raise ValueError(f"s = {self.s} exceeds row count m = {self.m}")
 
-    @property
-    def cell_count(self) -> int:
-        return self.m * self.r
-
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -76,9 +75,6 @@ class SupportSet:
             return self.includes_zero
         return 1 <= abs(value) <= self.half
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted_values())
-
     def sorted_values(self) -> tuple[int, ...]:
         negatives = range(-self.half, 0)
         positives = range(1, self.half + 1)
@@ -97,9 +93,10 @@ def support_set(p: Params) -> SupportSet:
 class SignedArray:
     """Sparse m x n grid of signed integer entries, 1-based indices.
 
-    ``cells`` maps (row, col) to the entry.  Entries are nonzero for every
-    parameter set with an even cell count (the only kind any construction
-    here produces); zero is representable for odd-support parameter sets.
+    ``cells`` is a read-only map from (row, col) to the entry.  Entries are
+    nonzero for every parameter set with an even cell count (the only kind
+    any construction here produces); zero is representable for odd-support
+    parameter sets.
     """
 
     rows: int
@@ -114,7 +111,11 @@ class SignedArray:
             raise ValueError(f"dimensions are not integers: {self.rows!r}x{self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
-        frozen = dict(self.cells)
+        cells = self.cells
+        # dict() over a mappingproxy goes key by key, about ten times slower
+        # than its copy(); the dict() around it keeps a copy that is no plain
+        # dict (a defaultdict inserts on lookup) out of the array
+        frozen = dict(cells.copy() if type(cells) is MappingProxyType else cells)
         for (i, j), e in frozen.items():
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
@@ -124,7 +125,7 @@ class SignedArray:
                 )
             if type(e) is not int:
                 raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
-        object.__setattr__(self, "cells", frozen)
+        object.__setattr__(self, "cells", MappingProxyType(frozen))
 
     @classmethod
     def _trusted(
@@ -135,7 +136,7 @@ class SignedArray:
         shiftable: bool | None = None,
     ) -> SignedArray:
         """Wrap ``cells`` without the checks of ``__post_init__``; the dict
-        is taken, not copied.
+        is taken, not copied, and the caller must not write to it again.
 
         Only for the outputs of transforms and direct blocks, which place
         cells of validated (or themselves trusted) operands at ``int``
@@ -145,7 +146,7 @@ class SignedArray:
         a = object.__new__(cls)
         object.__setattr__(a, "rows", rows)
         object.__setattr__(a, "cols", cols)
-        object.__setattr__(a, "cells", cells)
+        object.__setattr__(a, "cells", MappingProxyType(cells))
         if shiftable is not None:
             object.__setattr__(a, "_shiftable", shiftable)
         return a
@@ -190,14 +191,9 @@ class SignedArray:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedArray):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and dict(self.cells) == dict(other.cells)
-        )
+    def __reduce__(self) -> tuple[type[SignedArray], tuple[int, int, dict]]:
+        # a mappingproxy cannot be pickled; rebuild through the checks
+        return type(self), (self.rows, self.cols, self.cells.copy())
 
 
 def entry_multiset(a: SignedArray) -> tuple[int, ...]:

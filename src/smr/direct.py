@@ -12,8 +12,9 @@ is 2 mod 4; an entry swap between two row pairs in the outer columns repairs
 it.  There is no five-column construction at m = 2.
 
 Blocks and spread outputs are built with ``SignedArray._trusted``: their
-cells lie inside their own shape by construction, and ``CompactBlock``
-checks the block invariants that spreading relies on.
+cells lie inside their own shape by construction.  ``CompactBlock`` checks
+the block invariants that spreading relies on, once: its array is a
+``SignedArray``, which cannot change afterwards.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class CompactBlock:
 
     def __post_init__(self) -> None:
         a = self.array
+        if not isinstance(a, SignedArray):
+            raise TypeError(f"block array must be a SignedArray, got {type(a).__name__}")
         width = a.cols
         m = a.rows
         half = (width * m) // 2
@@ -119,17 +122,9 @@ def spread(block: CompactBlock) -> SignedArray:
     """Relocate each entry k of the block to column |k| of the full rectangle.
 
     Row contents (hence row sums) are unchanged; column |k| receives exactly
-    k and -k.  A +-k pair inside one row would collide in one cell, which the
-    block invariants rule out.
+    k and -k.  A +-k pair inside one row would collide in one cell, which
+    ``CompactBlock`` ruled out when the block was built.
     """
     a = block.array
-    width = (a.cols * a.rows) // 2
-    cells: dict[tuple[int, int], int] = {}
-    for (i, _), e in a.cells.items():
-        target = (i, abs(e))
-        if target in cells:
-            raise BlockError(
-                f"row {i} places both {cells[target]} and {e} at column {abs(e)}"
-            )
-        cells[target] = e
-    return SignedArray._trusted(a.rows, width, cells)
+    cells = {(i, abs(e)): e for (i, _), e in a.cells.items()}
+    return SignedArray._trusted(a.rows, (a.cols * a.rows) // 2, cells)

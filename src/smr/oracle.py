@@ -80,8 +80,10 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     failed: set[bytes | tuple[int, ...]] = set()
     # an entry takes about 75 bytes plus 8 per row (44 in a tuple of big ints)
     cap = _TABLE_BYTES // ((8 if fits else 44) * m + 75)
-    pos_row = [0] * (n + 1)
-    neg_row = [0] * (n + 1)
+    # rows of +k and -k for each value k on the stack, at index n - k; they
+    # grow and shrink with the stack, so with the depth reached, not with n
+    pos_row = [0]
+    neg_row = [0]
     nodes = hits = pushed = depth = 0
 
     def failing(remaining: int) -> list[int]:
@@ -101,6 +103,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         # after -k is viable and -1 otherwise; +k stays placed while they
         # are tried and is lifted before the next row of +k.
         rem = k - 1
+        at = n - k
         bad = failing(rem)  # placing ±k leaves rows other than p and q as they are
         d = r - 1
         fresh_ok = d <= rem and k <= d * rem - d * (d - 1) // 2  # -k in an unused row
@@ -111,7 +114,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             counts[p] += 1
             sums[p] += k
             codes[p] += width + k
-            pos_row[k] = p
+            pos_row[at] = p
             # q must be the one failing row besides p, when there is one
             others = len(bad)
             must = -1
@@ -146,6 +149,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     status = "not_exists"
     while frames and status == "not_exists":
         k = n + 1 - len(frames)
+        at = n - k
         candidates, used, _ = frames[-1]
         for q in candidates:
             nodes += 1
@@ -154,7 +158,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 break
             if q < 0:
                 continue
-            neg_row[k] = q
+            neg_row[at] = q
             if k == 1:
                 # viability at remaining = 0 forced full rows and zero sums
                 status = "exists"
@@ -167,12 +171,14 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 continue
             counts[q] += 1
             sums[q] -= k
-            now_used = pos_row[k] + 1
+            now_used = pos_row[at] + 1
             if q >= now_used:
                 now_used = q + 1
             if used > now_used:
                 now_used = used
             frames.append((minus_rows(k - 1, now_used), now_used, key))
+            pos_row.append(0)
+            neg_row.append(0)
             pushed += 1
             if len(frames) > depth:
                 depth = len(frames)
@@ -180,10 +186,12 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         else:
             # k is exhausted; its iterator lifted its last +k, so undo the -(k+1)
             _, _, key = frames.pop()
+            pos_row.pop()
+            neg_row.pop()
             if frames:
                 if len(failed) < cap:
                     failed.add(key)
-                q = neg_row[k + 1]
+                q = neg_row[at - 1]
                 counts[q] -= 1
                 sums[q] += k + 1
                 codes[q] -= width - k - 1
@@ -193,8 +201,8 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     cells: dict[tuple[int, int], int] = {}
     for k in range(1, n + 1):
-        cells[pos_row[k] + 1, k] = k
-        cells[neg_row[k] + 1, k] = -k
+        cells[pos_row[n - k] + 1, k] = k
+        cells[neg_row[n - k] + 1, k] = -k
     witness = SignedArray(m, n, cells)
     report = verify_smr(witness, Params(m, n, r, 2))
     assert report.ok, f"search produced an invalid witness: {report}"

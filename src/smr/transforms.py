@@ -148,7 +148,7 @@ def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
         raise JoinMismatchError(
             f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
         )
-    cells = _place(dict(b.cells), a, support_half(b), 0, b.cols)
+    cells = _place(b.cells.copy(), a, support_half(b), 0, b.cols)
     return SignedArray._trusted(a.rows, a.cols + b.cols, cells, b._shiftable)
 
 
@@ -178,5 +178,5 @@ def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
             raise JoinMismatchError(
                 f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
             )
-    cells = _place(dict(b.cells), a, support_half(b), b.rows, b.cols)
+    cells = _place(b.cells.copy(), a, support_half(b), b.rows, b.cols)
     return SignedArray._trusted(a.rows + b.rows, a.cols + b.cols, cells, b._shiftable)

@@ -147,9 +147,40 @@ def test_huge_codes_still_keyed_exactly():
     assert (outcome.status, outcome.nodes) == ("cutoff", 51)
 
 
+def test_memory_follows_the_search_not_n():
+    # per-value storage grows with the depth reached, so 51 nodes at
+    # n = 2_000_000 allocate little
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = decide(2, 2_000_000, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes) == ("cutoff", 51)
+    assert peak < 2 << 20
+
+
 # column canonicalization: an unrestricted search over column contents finds
 # exactly the canonical solutions times the n! column orders, and sorting any
 # found array's columns by magnitude yields a valid canonical array.
+
+
+def can_close(s: int, d: int, left: list[int]) -> bool:
+    """Whether a row with sum s can still end at zero with d more cells, at
+    most one per open column, given the magnitudes ``left`` of the open
+    columns (largest first): d must not exceed them, and they must be able
+    to cancel s, exactly for d <= 1 and by the d largest reaching |s| beyond.
+    Rows failing this are dead; both searches below cut only them."""
+    if d > len(left):
+        return False
+    return abs(s) in left if d == 1 else abs(s) <= sum(left[:d])
+
+
+def stuck_rows(counts: list[int], sums: list[int], r: int, left: list[int]) -> list[int]:
+    """Rows that are dead unless the next column places a cell in them."""
+    return [i for i in range(len(counts)) if not can_close(sums[i], r - counts[i], left)]
 
 
 def unrestricted_solutions(m: int, n: int, r: int) -> list[SignedArray]:
@@ -174,11 +205,18 @@ def unrestricted_solutions(m: int, n: int, r: int) -> list[SignedArray]:
             if used[mag]:
                 continue
             used[mag] = True
+            left = [k for k in range(n, 0, -1) if not used[k]]
+            stuck = stuck_rows(counts, sums, r, left)
             for p in range(m):
-                if counts[p] >= r:
+                if counts[p] >= r or not can_close(sums[p] + mag, r - 1 - counts[p], left):
                     continue
                 for q in range(m):
-                    if q == p or counts[q] >= r:
+                    if (
+                        q == p
+                        or counts[q] >= r
+                        or not can_close(sums[q] - mag, r - 1 - counts[q], left)
+                        or any(i != p and i != q for i in stuck)
+                    ):
                         continue
                     counts[p] += 1
                     counts[q] += 1
@@ -216,11 +254,18 @@ def count_canonical(m: int, n: int, r: int) -> int:
             if all(c == r for c in counts) and all(s == 0 for s in sums):
                 count += 1
             return
+        left = list(range(k - 1, 0, -1))
+        stuck = stuck_rows(counts, sums, r, left)
         for p in range(m):
-            if counts[p] >= r:
+            if counts[p] >= r or not can_close(sums[p] + k, r - 1 - counts[p], left):
                 continue
             for q in range(m):
-                if q == p or counts[q] >= r:
+                if (
+                    q == p
+                    or counts[q] >= r
+                    or not can_close(sums[q] - k, r - 1 - counts[q], left)
+                    or any(i != p and i != q for i in stuck)
+                ):
                     continue
                 counts[p] += 1
                 counts[q] += 1
