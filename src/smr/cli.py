@@ -185,6 +185,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         stats = {"nodes": outcome.nodes, **outcome.stats._asdict()}
         stats["elapsed_s"] = round(elapsed, 6)
         stats["nodes_per_s"] = round(outcome.nodes / elapsed) if elapsed > 0 else 0
+        stats["pruned"] = stats.pop("pruned")  # last, after the keys of earlier releases
         print(json.dumps(stats), file=sys.stderr)
     print(f"{outcome.status} (nodes: {outcome.nodes})")
     if outcome.status == "exists" and args.witness and outcome.witness is not None:

@@ -195,6 +195,11 @@ class SignedArray:
         # a mappingproxy cannot be pickled; rebuild through the checks
         return type(self), (self.rows, self.cols, self.cells.copy())
 
+    def __hash__(self) -> int:
+        # the generated one would hash the cells view, which has no hash;
+        # equal arrays have equal cells, so they hash alike
+        return hash((self.rows, self.cols, frozenset(self.cells.items())))
+
 
 def entry_multiset(a: SignedArray) -> tuple[int, ...]:
     """All stored entries in ascending order."""

@@ -21,10 +21,20 @@ local to each call and stops growing at about ``_TABLE_BYTES`` = 64 MiB:
 an entry takes about 8m + 75 bytes, so the cap is near 740k entries at
 m = 2 and 430k at m = 10.  A full table only skips less.
 
-Placing +k in row p and -k in row q changes only those two rows, so the
-rows that fail the reachability bound with k - 1 values left are found once
-per value; a candidate is viable iff those rows lie in {p, q} and p and q
-pass, which costs O(1) per candidate instead of a scan of all m rows.
+Placing +k in row p and -k in row q changes only those two rows, so each
+row is checked once per value, as it stands, with +k and with -k; a
+candidate is viable iff the rows failing as they stand lie in {p, q}, p
+passes with +k and q with -k.
+
+Most candidates are not viable, so they are counted in bulk, not visited:
+the candidates of one value are a fixed sequence, row of +k first, so the
+search steps only to the viable ones and adds the rejects in between to the
+node count.  A row of +k that fails, or two failing rows besides it, rejects
+its whole block of candidates at once.  The candidates, their order and
+what each viable one leads to are those of a search that visits every
+candidate, so node counts, statistics and witnesses are too, and a budget
+that runs out among the rejects stops the search at node budget + 1 as
+before.  ``SearchStats.pruned`` is the number of rejects, summed per step.
 
 ``decide`` answers existence by exhaustion and never guesses: a node budget
 overrun is reported as a cutoff, not as a decision.
@@ -49,6 +59,7 @@ class SearchStats(NamedTuple):
     table_entries: int = 0  # failed states recorded
     frames_pushed: int = 0  # values whose candidates were opened, revisits too
     max_depth: int = 0  # most values on the stack at once; n for a witness
+    pruned: int = 0  # candidates rejected by the viability check
 
 
 @dataclass(frozen=True)
@@ -84,66 +95,95 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     # grow and shrink with the stack, so with the depth reached, not with n
     pos_row = [0]
     neg_row = [0]
-    nodes = hits = pushed = depth = 0
+    nodes = hits = pushed = depth = pruned = 0
 
-    def failing(remaining: int) -> list[int]:
-        # rows that cannot reach exactly r entries and a zero sum using
-        # distinct magnitudes from 1..remaining, at most one per value
-        rows = []
-        for i in range(m):
-            d = r - counts[i]
-            if d > remaining or abs(sums[i]) > d * remaining - d * (d - 1) // 2:
-                rows.append(i)
-        return rows
-
-    def minus_rows(k: int, used: int) -> Iterator[int]:
+    def minus_rows(k: int, used: int) -> Iterator[tuple[int, int]]:
         # Rows 0..used-1 are in use.  Each sign of k goes to an open row in
-        # use or to the lowest unused row.  For each row p of +k in turn,
-        # this places +k there and yields, per row q of -k, q when the state
-        # after -k is viable and -1 otherwise; +k stays placed while they
-        # are tried and is lifted before the next row of +k.
+        # use or to the lowest unused row.  The candidates run over rows p of
+        # +k and, for each, rows q of -k, both in row order.  This yields
+        # (q, rejected) per viable candidate, rejected being the candidates
+        # passed over since the previous yield, and last (-1, rejected) for
+        # any trailing rejects.  +k stays placed in p while its q are yielded
+        # and is lifted before the next row of +k.
         rem = k - 1
         at = n - k
-        bad = failing(rem)  # placing ±k leaves rows other than p and q as they are
+        # A row fails when it cannot reach exactly r entries and a zero sum
+        # with distinct magnitudes from 1..rem: with d entries to go, when
+        # d > rem or |sum| > d * rem - d * (d - 1) // 2.  Every row passed
+        # with k values left, so d - 1 <= rem.  Placing +k in p and -k in q
+        # changes only those rows, so each row is checked three ways once per
+        # frame: as it stands, with +k and with -k.
+        bad = []  # rows failing as they stand; p and q must hold them all
+        ok_p = []  # (row, its index among the open rows) for rows taking +k
+        ok_q = []  # the same for rows taking -k
+        n_open = 0
+        for i in range(used):
+            d = r - counts[i]
+            if d:  # a full row passed with sum 0 at the last check and still does
+                s = sums[i]
+                if d > rem or abs(s) > d * rem - d * (d - 1) // 2:
+                    bad.append(i)
+                d -= 1
+                top = d * rem - d * (d - 1) // 2
+                if abs(s + k) <= top:
+                    ok_p.append((i, n_open))
+                if abs(s - k) <= top:
+                    ok_q.append((i, n_open))
+                n_open += 1
         d = r - 1
-        fresh_ok = d <= rem and k <= d * rem - d * (d - 1) // 2  # -k in an unused row
-        rows = [i for i in range(used) if counts[i] < r]
-        if used < m:
-            rows.append(used)
-        for p in rows:
+        fresh_ok = used < m and k <= d * rem - d * (d - 1) // 2  # ±k in an unused row
+        if fresh_ok:
+            ok_p.append((used, n_open))
+        if used < m and r > rem:  # unused rows fail too
+            bad += range(used, m)
+        nbad = len(bad)
+        if nbad > 2:
+            ok_p = []  # p and q cannot hold three failing rows
+        # every open row of +k has a block of size candidates: the other open
+        # rows, then the lowest unused row; the unused row of +k comes last,
+        # with n_open open rows and the next unused row
+        size = n_open - 1 + (used < m)
+        total = n_open * size + (n_open + (used + 1 < m) if used < m else 0)
+        b0 = bad[0] if bad else -1
+        b1 = bad[1] if nbad > 1 else -1
+        seen = 0  # candidates passed
+        for p, ip in ok_p:
+            # q must be the one failing row besides p, when there is one
+            if nbad == 0:
+                must = -1
+            elif p == b0:
+                must = b1
+            elif p == b1:
+                must = b0
+            elif nbad == 1:
+                must = b0
+            else:
+                continue  # two failing rows besides p
             counts[p] += 1
             sums[p] += k
             codes[p] += width + k
             pos_row[at] = p
-            # q must be the one failing row besides p, when there is one
-            others = len(bad)
-            must = -1
-            for i in bad:
-                if i == p:
-                    others -= 1
-                elif must < 0:
-                    must = i
-            d = r - counts[p]
-            p_ok = others < 2 and d <= rem and abs(sums[p]) <= d * rem - d * (d - 1) // 2
-            for q in rows:
-                if q < used and q != p:
-                    if p_ok and (must < 0 or q == must):
-                        d = r - 1 - counts[q]
-                        if d <= rem and abs(sums[q] - k) <= d * rem - d * (d - 1) // 2:
-                            yield q
-                            continue
-                    yield -1
-            q = p + 1 if p >= used else used  # the lowest unused row left
-            if q < m:
-                yield q if p_ok and (must < 0 or q == must) and fresh_ok else -1
+            start = ip * size
+            for q, j in ok_q:
+                if q != p and (must < 0 or q == must):
+                    i = start + j - (j > ip)
+                    yield q, i - seen
+                    seen = i + 1
+            q = used + (p == used)  # the lowest unused row left
+            if q < m and fresh_ok and (must < 0 or q == must):
+                i = start + n_open - (p < used)
+                yield q, i - seen
+                seen = i + 1
             counts[p] -= 1
             sums[p] -= k
             codes[p] -= width + k
+        if total > seen:
+            yield -1, total - seen
 
     # one frame per value k = n, n-1, ...: its row iterator, the rows in use
     # and the key of the state it starts from
-    frames: list[tuple[Iterator[int], int, bytes | tuple[int, ...]]] = []
-    if not failing(n):
+    frames: list[tuple[Iterator[tuple[int, int]], int, bytes | tuple[int, ...]]] = []
+    if r <= n:  # else an empty row cannot take r distinct magnitudes
         frames.append((minus_rows(n, 0), 0, b""))
         pushed = depth = 1
     status = "not_exists"
@@ -151,11 +191,17 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         k = n + 1 - len(frames)
         at = n - k
         candidates, used, _ = frames[-1]
-        for q in candidates:
-            nodes += 1
-            if nodes > budget:
+        for q, rejected in candidates:
+            # the rejects are nodes + 1 .. nodes + rejected, then q is a node
+            end = nodes + rejected + (q >= 0)
+            if end > budget:
+                # node budget + 1 stops the search; rejects past it are not seen
+                pruned += min(rejected, budget - nodes)
+                nodes = budget + 1
                 status = "cutoff"
                 break
+            nodes = end
+            pruned += rejected
             if q < 0:
                 continue
             neg_row[at] = q
@@ -195,7 +241,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 counts[q] -= 1
                 sums[q] += k + 1
                 codes[q] -= width - k - 1
-    stats = SearchStats(hits, len(failed), pushed, depth)
+    stats = SearchStats(hits, len(failed), pushed, depth, pruned)
     if status != "exists":
         return SearchOutcome(status, None, nodes, stats)
 

@@ -202,7 +202,7 @@ def test_oracle_stats_leave_stdout_alone(capsys, argv):
     stats = json.loads(lines[0])
     assert list(stats) == [
         "nodes", "table_hits", "table_entries", "frames_pushed", "max_depth",
-        "elapsed_s", "nodes_per_s",
+        "elapsed_s", "nodes_per_s", "pruned",
     ]
     assert f"(nodes: {stats['nodes']})" in out
     assert stats["elapsed_s"] >= 0 and stats["nodes_per_s"] >= 0

@@ -146,3 +146,23 @@ def test_block_requires_a_signed_array():
 
     with pytest.raises(TypeError):
         CompactBlock(Mutable(three_column_block(4).array), "three")
+
+
+@pytest.mark.parametrize("source", sorted(_sources()))
+def test_arrays_hash_like_their_equals(source):
+    a = _sources()[source]
+    b = copy.deepcopy(a)
+    assert hash(a) == hash(b)
+    assert a in {b} and len({a, b}) == 1
+    # a different entry or shape gives a different set member
+    other = SignedArray(a.rows + 1, a.cols, a.cells)
+    assert other not in {a}
+
+
+def test_blocks_and_search_outcomes_hash():
+    block = three_column_block(4)
+    assert hash(block) == hash(copy.deepcopy(block))
+    outcome = decide(2, 4)
+    assert outcome.witness is not None
+    assert hash(outcome) == hash(decide(2, 4))
+    assert len({outcome, decide(2, 4)}) == 1

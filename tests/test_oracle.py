@@ -56,6 +56,47 @@ def test_budget_cutoff_reported_honestly():
     assert (outcome.status, outcome.nodes) == ("cutoff", 20001)
 
 
+@pytest.mark.parametrize("m,r", [(4, 5), (6, 4), (3, 8), (2, 12)])
+def test_every_budget_up_to_the_node_count(m, r):
+    # rejected candidates are counted in bulk, so the cutoff must still land
+    # on node budget + 1 wherever the budget runs out
+    full = decide(m, r)
+    assert full.status == "exists"
+    for budget in range(full.nodes + 1):
+        outcome = decide(m, r, budget)
+        if budget < full.nodes:
+            assert (outcome.status, outcome.nodes) == ("cutoff", budget + 1), budget
+        else:
+            assert outcome == full
+            assert outcome.stats == full.stats
+
+
+# (m, r, budget) -> (status, nodes, the first four SearchStats fields), as
+# counted one candidate at a time
+PINNED_COUNTS = {
+    (8, 3, None): ("exists", 19259, (106, 350, 362, 12)),
+    (4, 15, None): ("exists", 1668, (73, 124, 154, 30)),
+    (4, 17, None): ("exists", 2822, (136, 311, 345, 34)),
+    (3, 20, None): ("exists", 6515, (465, 1071, 1101, 30)),
+    (6, 9, None): ("exists", 17234, (1192, 1509, 1536, 27)),
+    (7, 10, None): ("exists", 19307, (485, 936, 971, 35)),
+    (4, 19, None): ("exists", 665, (148, 237, 275, 38)),
+    (2, 17, None): ("not_exists", 315, (95, 157, 158, 17)),
+    (2, 18, None): ("not_exists", 371, (116, 185, 186, 18)),
+    (2, 21, None): ("not_exists", 607, (207, 303, 304, 21)),
+    (8, 5, 100_000): ("cutoff", 100_001, (1622, 1825, 1838, 17)),
+    (10, 5, 100_000): ("cutoff", 100_001, (644, 1143, 1159, 22)),
+    (2, 1202, 20_000): ("cutoff", 20_001, (1873, 9003, 10177, 1202)),
+}
+
+
+def test_node_counts_and_stats_pinned():
+    assert set(HARD_POINTS) == {(m, r) for m, r, budget in PINNED_COUNTS if budget is None}
+    for (m, r, budget), pinned in PINNED_COUNTS.items():
+        outcome = decide(m, r) if budget is None else decide(m, r, budget)
+        assert (outcome.status, outcome.nodes, tuple(outcome.stats)[:4]) == pinned, (m, r)
+
+
 def test_decide_deterministic():
     a = decide(4, 5)
     b = decide(4, 5)
@@ -139,6 +180,23 @@ def test_search_stats():
     # stats take no part in equality, and the outcome still builds positionally
     assert outcome == SearchOutcome("exists", outcome.witness, 87)
     assert decide(3, 3).stats == SearchStats()
+
+
+def test_every_node_is_pruned_a_hit_a_push_or_the_last():
+    # each candidate counted is rejected by the viability check, skipped by
+    # the table, opens a frame (all but the root's), or ends the search: the
+    # witness, or the node past the budget
+    points = [(m, r, None) for m in range(1, 8) for r in range(1, 11)]
+    points += list(PINNED_COUNTS)
+    points += [(m, r, 500) for m in range(2, 9) for r in range(3, 10)]
+    for m, r, budget in points:
+        outcome = decide(m, r) if budget is None else decide(m, r, budget)
+        stats = outcome.stats
+        last = outcome.status != "not_exists"
+        assert outcome.nodes == (
+            stats.pruned + stats.table_hits + max(stats.frames_pushed - 1, 0) + last
+        ), (m, r, budget)
+    assert decide(8, 5, 100_000).stats.pruned > 90_000
 
 
 def test_huge_codes_still_keyed_exactly():
