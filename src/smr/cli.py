@@ -64,14 +64,19 @@ def _render_trace(trace: RouteTrace) -> str:
 def _budget(args: argparse.Namespace) -> int:
     """The node budget: --budget, else SMR_BUDGET, else DEFAULT_BUDGET."""
     if args.budget is not None:
+        if args.budget < 0:
+            raise _UsageError(f"--budget must be >= 0, got {args.budget}")
         return args.budget
     raw = os.environ.get("SMR_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise _UsageError(f"SMR_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise _UsageError(f"SMR_BUDGET must be >= 0, got {raw!r}")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures: list[str] = []
     for m in range(2, args.max_m + 1):
         for r in range(3, args.max_r + 1):
-            n = r if m == 2 else (m * r) // 2
+            n = (m * r) // 2
             verdict = feasibility(m, n, r)
             if verdict.feasible:
                 try:

@@ -21,10 +21,15 @@ local to each call and stops growing at about ``_TABLE_BYTES`` = 64 MiB:
 an entry takes about 8m + 75 bytes, so the cap is near 740k entries at
 m = 2 and 430k at m = 10.  A full table only skips less.
 
-Placing +k in row p and -k in row q changes only those two rows, so each
-row is checked once per value, as it stands, with +k and with -k; a
-candidate is viable iff the rows failing as they stand lie in {p, q}, p
-passes with +k and q with -k.
+The search state is that list of row codes and nothing else: a row's count
+and sum are decoded from its code.  The candidate enumerator of a value
+only reads the codes; the main loop places +k in row p and -k in row q,
+lifts both again on a table hit, and otherwise opens a frame that carries
+(p, q), so that popping it lifts them and the witness is read off the
+frames.  Those two rows are all a candidate changes, so each row is
+checked once per value, as it stands, with +k and with -k; a candidate is
+viable iff the rows failing as they stand lie in {p, q}, p passes with +k
+and q with -k.
 
 Most candidates are not viable, so they are counted in bulk, not visited:
 the candidates of one value are a fixed sequence, row of +k first, so the
@@ -75,38 +80,36 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     An odd m*r leaves no valid support set, so the answer is immediate.
     Values are assigned largest first; large values constrain row sums the
-    most, so the reachability bound prunes early.
+    most, so the reachability bound prunes early.  ``budget`` must be an
+    ``int`` >= 0; a search past node ``budget`` is a cutoff.
     """
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     if m < 1 or r < 1 or (m * r) % 2:
         return SearchOutcome("not_exists", None, 0)
     n = (m * r) // 2
 
-    counts = [0] * m
-    sums = [0] * m
-    # codes[i] = counts[i] * width + sums[i], one int per row; |sum| <= nr
-    width = 2 * n * r + 1
+    # the whole search state: codes[i] = count * width + sum for row i, and
+    # |sum| <= nr < width / 2, so (code + nr) // width is the count
+    nr = n * r
+    width = 2 * nr + 1
     codes = [0] * m
-    fits = r * width + n * r < 1 << 63
+    fits = r * width + nr < 1 << 63
     pack = _pack64 if fits else tuple
     failed: set[bytes | tuple[int, ...]] = set()
     # an entry takes about 75 bytes plus 8 per row (44 in a tuple of big ints)
     cap = _TABLE_BYTES // ((8 if fits else 44) * m + 75)
-    # rows of +k and -k for each value k on the stack, at index n - k; they
-    # grow and shrink with the stack, so with the depth reached, not with n
-    pos_row = [0]
-    neg_row = [0]
     nodes = hits = pushed = depth = pruned = 0
 
-    def minus_rows(k: int, used: int) -> Iterator[tuple[int, int]]:
+    def candidates(k: int, used: int) -> Iterator[tuple[int, int, int]]:
         # Rows 0..used-1 are in use.  Each sign of k goes to an open row in
         # use or to the lowest unused row.  The candidates run over rows p of
         # +k and, for each, rows q of -k, both in row order.  This yields
-        # (q, rejected) per viable candidate, rejected being the candidates
-        # passed over since the previous yield, and last (-1, rejected) for
-        # any trailing rejects.  +k stays placed in p while its q are yielded
-        # and is lifted before the next row of +k.
+        # (p, q, rejected) per viable candidate, rejected being the candidates
+        # passed over since the previous yield, and last (-1, -1, rejected)
+        # for any trailing rejects.  It reads codes once, here, and never
+        # writes them.
         rem = k - 1
-        at = n - k
         # A row fails when it cannot reach exactly r entries and a zero sum
         # with distinct magnitudes from 1..rem: with d entries to go, when
         # d > rem or |sum| > d * rem - d * (d - 1) // 2.  Every row passed
@@ -118,9 +121,11 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         ok_q = []  # the same for rows taking -k
         n_open = 0
         for i in range(used):
-            d = r - counts[i]
+            code = codes[i]
+            count = (code + nr) // width
+            d = r - count
             if d:  # a full row passed with sum 0 at the last check and still does
-                s = sums[i]
+                s = code - count * width
                 if d > rem or abs(s) > d * rem - d * (d - 1) // 2:
                     bad.append(i)
                 d -= 1
@@ -159,40 +164,34 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 must = b0
             else:
                 continue  # two failing rows besides p
-            counts[p] += 1
-            sums[p] += k
-            codes[p] += width + k
-            pos_row[at] = p
             start = ip * size
             for q, j in ok_q:
                 if q != p and (must < 0 or q == must):
                     i = start + j - (j > ip)
-                    yield q, i - seen
+                    yield p, q, i - seen
                     seen = i + 1
             q = used + (p == used)  # the lowest unused row left
             if q < m and fresh_ok and (must < 0 or q == must):
                 i = start + n_open - (p < used)
-                yield q, i - seen
+                yield p, q, i - seen
                 seen = i + 1
-            counts[p] -= 1
-            sums[p] -= k
-            codes[p] -= width + k
         if total > seen:
-            yield -1, total - seen
+            yield -1, -1, total - seen
 
-    # one frame per value k = n, n-1, ...: its row iterator, the rows in use
-    # and the key of the state it starts from
-    frames: list[tuple[Iterator[tuple[int, int]], int, bytes | tuple[int, ...]]] = []
+    # one frame per value k = n, n-1, ...: its candidates, the rows in use,
+    # the key of the state it starts from, and the rows p and q of the +(k+1)
+    # and -(k+1) that opened it (-1 for the root)
+    frames: list[tuple[Iterator[tuple[int, int, int]], int, bytes | tuple[int, ...], int, int]] = []
     if r <= n:  # else an empty row cannot take r distinct magnitudes
-        frames.append((minus_rows(n, 0), 0, b""))
+        frames.append((candidates(n, 0), 0, b"", -1, -1))
         pushed = depth = 1
     status = "not_exists"
     while frames and status == "not_exists":
         k = n + 1 - len(frames)
-        at = n - k
-        candidates, used, _ = frames[-1]
-        for q, rejected in candidates:
-            # the rejects are nodes + 1 .. nodes + rejected, then q is a node
+        frame = frames[-1]
+        used = frame[1]
+        for p, q, rejected in frame[0]:
+            # the rejects are nodes + 1 .. nodes + rejected, then (p, q) is a node
             end = nodes + rejected + (q >= 0)
             if end > budget:
                 # node budget + 1 stops the search; rejects past it are not seen
@@ -204,51 +203,46 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             pruned += rejected
             if q < 0:
                 continue
-            neg_row[at] = q
             if k == 1:
                 # viability at remaining = 0 forced full rows and zero sums
                 status = "exists"
                 break
+            codes[p] += width + k
             codes[q] += width - k
             key = pack(sorted(codes))
             if key in failed:
                 hits += 1
+                codes[p] -= width + k
                 codes[q] -= width - k
                 continue
-            counts[q] += 1
-            sums[q] -= k
-            now_used = pos_row[at] + 1
+            now_used = used
             if q >= now_used:
                 now_used = q + 1
-            if used > now_used:
-                now_used = used
-            frames.append((minus_rows(k - 1, now_used), now_used, key))
-            pos_row.append(0)
-            neg_row.append(0)
+            if p >= now_used:
+                now_used = p + 1
+            frames.append((candidates(k - 1, now_used), now_used, key, p, q))
             pushed += 1
             if len(frames) > depth:
                 depth = len(frames)
             break
         else:
-            # k is exhausted; its iterator lifted its last +k, so undo the -(k+1)
-            _, _, key = frames.pop()
-            pos_row.pop()
-            neg_row.pop()
+            # k is exhausted: undo the +(k+1) and -(k+1) that opened its frame
+            _, _, key, p, q = frames.pop()
             if frames:
                 if len(failed) < cap:
                     failed.add(key)
-                q = neg_row[at - 1]
-                counts[q] -= 1
-                sums[q] += k + 1
+                codes[p] -= width + k + 1
                 codes[q] -= width - k - 1
     stats = SearchStats(hits, len(failed), pushed, depth, pruned)
     if status != "exists":
         return SearchOutcome(status, None, nodes, stats)
 
+    # the frames of values n-1 .. 1 hold the rows of n .. 2; (p, q) holds 1's
+    rows = [frame[3:] for frame in frames[1:]] + [(p, q)]
     cells: dict[tuple[int, int], int] = {}
-    for k in range(1, n + 1):
-        cells[pos_row[n - k] + 1, k] = k
-        cells[neg_row[n - k] + 1, k] = -k
+    for k, (p, q) in zip(range(n, 0, -1), rows):
+        cells[p + 1, k] = k
+        cells[q + 1, k] = -k
     witness = SignedArray(m, n, cells)
     report = verify_smr(witness, Params(m, n, r, 2))
     assert report.ok, f"search produced an invalid witness: {report}"

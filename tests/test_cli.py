@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smr import Params, seed, to_csv, to_grid, to_json
 from smr.cli import main
@@ -191,8 +197,6 @@ def test_oracle_cutoff_exit_4(capsys):
     ],
 )
 def test_oracle_stats_leave_stdout_alone(capsys, argv):
-    import json
-
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     stats_code, stats_out, stats_err = run_cli(capsys, *argv, "--stats")
@@ -212,6 +216,34 @@ def test_oracle_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SMR_BUDGET", "5")
     code, out, _ = run_cli(capsys, "oracle", 6, 8)
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", 4, 5, "--budget", -1),
+        ("oracle", 3, 3, "--budget", -3),  # odd m*r: no search, still checked
+        ("crosscheck", "--max-m", 3, "--max-r", 3, "--budget", -2),
+    ],
+)
+def test_negative_budget_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert "--budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [("oracle", 4, 5), ("crosscheck", "--max-m", 3, "--max-r", 3)])
+def test_negative_budget_env_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SMR_BUDGET", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert "SMR_BUDGET must be >= 0" in err
+
+
+def test_zero_budget_cuts_off_at_the_first_node(capsys, monkeypatch):
+    assert run_cli(capsys, "oracle", 4, 5, "--budget", 0)[:2] == (4, "cutoff (nodes: 1)\n")
+    monkeypatch.setenv("SMR_BUDGET", "0")
+    assert run_cli(capsys, "oracle", 4, 5)[:2] == (4, "cutoff (nodes: 1)\n")
 
 
 def test_crosscheck_clean(capsys):
@@ -253,3 +285,35 @@ def test_output_bytes_identical_across_runs(argv):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr == b""
+
+
+# negative budgets drawn as often as the others: they are the ones to reject
+_budget_flag = st.tuples(st.just("--budget"), st.one_of(st.integers(-3, -1), st.integers(0, 300)))
+_oracle_argv = st.tuples(
+    st.just(("oracle",)),
+    st.tuples(st.integers(-2, 6), st.integers(-2, 8)),
+    _budget_flag,
+    st.lists(st.sampled_from(["--witness", "--stats", "--json", "--csv"]), unique=True),
+)
+_crosscheck_argv = st.tuples(
+    st.just(("crosscheck",)),
+    st.tuples(st.just("--max-m"), st.integers(-2, 4), st.just("--max-r"), st.integers(-2, 6)),
+    _budget_flag,
+)
+_decide_argv = st.tuples(
+    st.just(("decide",)), st.tuples(st.integers(-2, 6), st.integers(-2, 24), st.integers(-2, 8))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_oracle_argv, _crosscheck_argv, _decide_argv))
+def test_small_and_negative_arguments_end_in_a_documented_exit(parts):
+    argv = [str(a) for part in parts for a in part]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 64), argv
+    for nodes in re.findall(r"\(nodes: (-?\d+)\)", out.getvalue()):
+        assert int(nodes) >= 0, argv
+    if "--stats" in argv and code != 64:
+        assert json.loads(err.getvalue())["nodes"] >= 0, argv

@@ -56,6 +56,19 @@ def test_budget_cutoff_reported_honestly():
     assert (outcome.status, outcome.nodes) == ("cutoff", 20001)
 
 
+@pytest.mark.parametrize("budget", [-1, -3, True, False, 5.0, "5", None])
+def test_budget_must_be_an_int_at_least_zero(budget):
+    for m, r in [(4, 5), (3, 3)]:  # also where no search is needed
+        with pytest.raises(ValueError, match="budget"):
+            decide(m, r, budget)
+
+
+def test_zero_budget_cuts_off_at_the_first_node():
+    outcome = decide(4, 5, 0)
+    assert (outcome.status, outcome.nodes) == ("cutoff", 1)
+    assert decide(3, 3, 0) == SearchOutcome("not_exists", None, 0)
+
+
 @pytest.mark.parametrize("m,r", [(4, 5), (6, 4), (3, 8), (2, 12)])
 def test_every_budget_up_to_the_node_count(m, r):
     # rejected candidates are counted in bulk, so the cutoff must still land
