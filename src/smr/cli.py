@@ -138,10 +138,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(str(exc.verdict), file=sys.stderr)
         return EXIT_INFEASIBLE
     params = Params(args.m, args.n, args.r, 2)
-    out = _render(array, params, args.format)
+    sys.stdout.write(_render(array, params, args.format))
     if args.trace:
-        out += _render_trace(trace)
-    sys.stdout.write(out)
+        sys.stdout.write(_render_trace(trace))
     return EXIT_OK
 
 

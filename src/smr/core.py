@@ -177,16 +177,6 @@ class SignedArray:
         }
         return cls(len(rows), cols, cells)
 
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        """All cells sorted by (row, col)."""
-        return sorted(self.cells.items())
-
-    def row(self, i: int) -> dict[int, int]:
-        return {j: e for (ri, j), e in self.cells.items() if ri == i}
-
-    def column(self, j: int) -> dict[int, int]:
-        return {i: e for (i, cj), e in self.cells.items() if cj == j}
-
     @property
     def is_empty(self) -> bool:
         return not self.cells

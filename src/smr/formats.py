@@ -17,16 +17,31 @@ class ParseError(ValueError):
     """Input text does not match a supported serialization."""
 
 
+def _by_row(a: SignedArray) -> list[list[tuple[int, int]]]:
+    """Each row's (col, entry) pairs sorted by column, indexed by row; entry
+    0 is empty.  One pass over the cells and a short sort per row: r cells a
+    row, where a global sort would order all mr of them."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(a.rows + 1)]
+    for (i, j), e in a.cells.items():
+        rows[i].append((j, e))
+    for row in rows:
+        row.sort()
+    return rows
+
+
 def to_json(a: SignedArray, p: Params) -> str:
-    """Canonical JSON: fixed key order, cells sorted by (row, col)."""
-    obj = {
-        "m": p.m,
-        "n": p.n,
-        "r": p.r,
-        "s": p.s,
-        "cells": [[i, j, e] for (i, j), e in a.items()],
-    }
-    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+    """Canonical JSON: fixed key order, cells sorted by (row, col).
+
+    The bytes are those of ``json.dumps`` with ``separators=(", ", ": ")``,
+    written directly: an ``int`` prints the same either way.
+    """
+    rows = [
+        f"[{i}, " + f"], [{i}, ".join([f"{j}, {e}" for j, e in row]) + "]"
+        for i, row in enumerate(_by_row(a))
+        if row
+    ]
+    cells = ", ".join(rows)
+    return f'{{"m": {p.m}, "n": {p.n}, "r": {p.r}, "s": {p.s}, "cells": [{cells}]}}\n'
 
 
 def from_json(text: str) -> tuple[SignedArray, Params]:
@@ -52,7 +67,11 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
 def to_csv(a: SignedArray, p: Params) -> str:
     """Canonical CSV: a parameter comment, a header, one sorted line per cell."""
     lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
-    lines += [f"{i},{j},{e}" for (i, j), e in a.items()]
+    lines += [
+        f"{i}," + f"\n{i},".join([f"{j},{e}" for j, e in row])
+        for i, row in enumerate(_by_row(a))
+        if row
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -124,18 +143,20 @@ def _infer_params(triples: list[tuple[int, int, int]]) -> Params:
 
 def to_grid(a: SignedArray) -> str:
     """Text grid: one line per row, right-aligned entries, '.' when empty."""
-    width = max((len(str(e)) for e in a.cells.values()), default=1)
-    by_row: list[list[tuple[int, int]]] = [[] for _ in range(a.rows + 1)]
-    for (i, j), e in a.cells.items():
-        by_row[i].append((j, e))
-    blank = ".".rjust(width)
-    lines = []
-    for row in by_row[1:]:
-        fields = [blank] * a.cols
+    values = a.cells.values()
+    # the longest decimal is that of the largest or of the most negative entry
+    width = max(len(str(max(values))), len(str(min(values)))) if values else 1
+    step = width + 1
+    blank = " ".join([".".rjust(width)] * a.cols) + "\n"
+    parts = []
+    for row in _by_row(a)[1:]:
+        at = 0
         for j, e in row:
-            fields[j - 1] = str(e).rjust(width)
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
+            start = (j - 1) * step
+            parts += (blank[at:start], str(e).rjust(width))
+            at = start + width
+        parts.append(blank[at:])
+    return "".join(parts)
 
 
 def from_grid(text: str) -> SignedArray:

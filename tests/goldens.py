@@ -130,6 +130,17 @@ def golden(grid: str) -> SignedArray:
     return from_grid(grid)
 
 
+def by_line(a: SignedArray) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Each row's {col: entry} and each column's {row: entry}, bucketed in one
+    pass over the cells; index 0 of both lists is empty."""
+    rows: list[dict[int, int]] = [{} for _ in range(a.rows + 1)]
+    cols: list[dict[int, int]] = [{} for _ in range(a.cols + 1)]
+    for (i, j), e in a.cells.items():
+        rows[i][j] = e
+        cols[j][i] = e
+    return rows, cols
+
+
 def swap_rows(a: SignedArray, pairs: list[tuple[int, int]]) -> SignedArray:
     """Exchange whole rows; used to state the two-presentation relation."""
     mapping = {}

@@ -15,7 +15,7 @@ from smr import (
     verify_smr,
 )
 
-from goldens import GRID_7x14_CONSTRUCTED, golden
+from goldens import GRID_7x14_CONSTRUCTED, by_line, golden
 
 
 def test_params_validation():
@@ -75,6 +75,18 @@ def test_from_cells_rejects_duplicates():
         SignedArray.from_cells(2, 2, [(1, 1, 3), (1, 1, -3)])
 
 
+def test_from_cells_names_the_first_repeat_in_input_order():
+    triples = [(1, 1, 1), (2, 2, 2), (2, 2, 3), (1, 1, 4)]
+    with pytest.raises(ValueError, match=r"duplicate cell \(2,2\)"):
+        SignedArray.from_cells(2, 2, iter(triples))
+    # a repeat before an unhashable index is still the error reported
+    with pytest.raises(ValueError, match=r"duplicate cell \(1,1\)"):
+        SignedArray.from_cells(2, 2, [(1, 1, 1), (1, 1, 2), ([1], 1, 3)])
+    with pytest.raises(TypeError, match="unhashable"):
+        SignedArray.from_cells(2, 2, [(1, 1, 1), ([1], 1, 3), (1, 1, 2)])
+    assert SignedArray.from_cells(2, 2, iter(triples[:2])).cells == {(1, 1): 1, (2, 2): 2}
+
+
 def test_verify_seed_passes():
     a, p = seed("S_2x4")
     report = verify_smr(a, p)
@@ -119,8 +131,9 @@ def test_two_entry_columns_hold_value_and_negation():
     for sid in ("S_2x4", "S_4x12", "S_5x10", "S_3x9"):
         a, p = seed(sid)
         assert p.s == 2
+        _, cols = by_line(a)
         for j in range(1, p.n + 1):
-            values = sorted(a.column(j).values())
+            values = sorted(cols[j].values())
             assert len(values) == 2 and values[0] == -values[1]
 
 
@@ -137,10 +150,11 @@ def test_shiftable_implies_even_line_counts():
     for sid in ("S_2x4", "S_4x12", "S_6x18", "S_5x10", "S_3x6", "S_5x15", "S_3x9"):
         a, _ = seed(sid)
         assert is_shiftable(a)
+        rows, cols = by_line(a)
         for i in range(1, a.rows + 1):
-            assert len(a.row(i)) % 2 == 0
+            assert len(rows[i]) % 2 == 0
         for j in range(1, a.cols + 1):
-            assert len(a.column(j)) % 2 == 0
+            assert len(cols[j]) % 2 == 0
 
 
 def test_entry_multiset_sorted():

@@ -21,6 +21,7 @@ from goldens import (
     GRID_BLOCK3_M10,
     GRID_BLOCK5_M8,
     GRID_BLOCK5_M10,
+    by_line,
     golden,
 )
 
@@ -35,8 +36,9 @@ def test_three_column_block_m10_pinned():
 
 def test_three_column_block_m2():
     a = three_column_block(2).array
-    assert a.row(1) == {1: 1, 2: 2, 3: -3}
-    assert a.row(2) == {1: -1, 2: -2, 3: 3}
+    rows, _ = by_line(a)
+    assert rows[1] == {1: 1, 2: 2, 3: -3}
+    assert rows[2] == {1: -1, 2: -2, 3: 3}
     assert entry_multiset(a) == (-3, -2, -1, 1, 2, 3)
 
 
@@ -71,9 +73,9 @@ def test_five_column_block_m10_repaired_pinned():
 def test_five_column_block_m12_needs_no_repair():
     block = five_column_block(12)
     assert block.kind == "five"
-    a = block.array
+    rows, _ = by_line(block.array)
     for i in range(1, 13):
-        row = a.row(i)
+        row = rows[i]
         assert sum(row.values()) == 0
         mags = [abs(e) for e in row.values()]
         assert len(set(mags)) == 5
@@ -96,9 +98,9 @@ def test_raw_five_column_degeneracy_rows(m):
         if len(set(mags)) != 5:
             degenerate.append(i)
     assert degenerate == [(m + 2) // 4, (3 * m + 2) // 4]
-    repaired = five_column_block(m).array
+    rows, _ = by_line(five_column_block(m).array)
     for i in range(1, m + 1):
-        mags = [abs(e) for e in repaired.row(i).values()]
+        mags = [abs(e) for e in rows[i].values()]
         assert len(set(mags)) == 5
 
 
@@ -119,9 +121,9 @@ def test_spread_five_column_m12_verifies():
 
 
 def test_spread_columns_hold_value_and_negation():
-    out = spread(five_column_block(8))
+    _, cols = by_line(spread(five_column_block(8)))
     for j in range(1, 21):
-        assert sorted(out.column(j).values()) == [-j, j]
+        assert sorted(cols[j].values()) == [-j, j]
 
 
 def test_block_rejects_pair_in_row():

@@ -27,6 +27,7 @@ from goldens import (
     GRID_2x12,
     GRID_7x14_CONSTRUCTED,
     GRID_8x12,
+    by_line,
     golden,
 )
 
@@ -86,7 +87,7 @@ def test_construct_pinned_outputs(m, n, r, grid):
 
 def test_construct_smallest_m2_points():
     a3, _ = construct(2, 3, 3)
-    assert a3.row(1) == {1: 1, 2: 2, 3: -3}
+    assert by_line(a3)[0][1] == {1: 1, 2: 2, 3: -3}
     a4, _ = construct(2, 4, 4)
     assert verify_smr(a4, Params(2, 4, 4, 2)).ok
 

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smr import (
     Params,
     ParseError,
+    SignedArray,
     construct,
+    feasibility,
     from_csv,
     from_grid,
     from_json,
@@ -144,3 +149,88 @@ def test_constructed_arrays_round_trip(point):
     assert from_json(to_json(a, p)) == (a, p)
     assert from_csv(to_csv(a, p)) == (a, p)
     assert from_grid(to_grid(a)) == a
+
+
+def test_every_sweep_output_pinned():
+    # the JSON, CSV and grid bytes of every point of the sweep grid
+    digest = hashlib.sha256()
+    points = 0
+    for m in range(2, 41):
+        for r in range(3, 41):
+            n = r if m == 2 else (m * r) // 2
+            if feasibility(m, n, r).feasible:
+                a, _ = construct(m, n, r)
+                p = Params(m, n, r, 2)
+                digest.update((to_json(a, p) + to_csv(a, p) + to_grid(a)).encode())
+                points += 1
+    assert points == 1103
+    assert digest.hexdigest() == (
+        "440fa26983f39805185d650c258d4397ce37043dd03828ebac199edb3e672c60"
+    )
+
+
+# The writers as they were before they bucketed cells by row: a global sort,
+# json.dumps over one list per cell, and n fields joined per grid row.
+
+
+def reference_json(a: SignedArray, p: Params) -> str:
+    cells = [[i, j, e] for (i, j), e in sorted(a.cells.items())]
+    obj = {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "cells": cells}
+    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+
+
+def reference_csv(a: SignedArray, p: Params) -> str:
+    lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
+    lines += [f"{i},{j},{e}" for (i, j), e in sorted(a.cells.items())]
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid(a: SignedArray) -> str:
+    width = max((len(str(e)) for e in a.cells.values()), default=1)
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(a.rows + 1)]
+    for (i, j), e in a.cells.items():
+        by_row[i].append((j, e))
+    blank = ".".rjust(width)
+    lines = []
+    for row in by_row[1:]:
+        fields = [blank] * a.cols
+        for j, e in row:
+            fields[j - 1] = str(e).rjust(width)
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def sparse_arrays(draw) -> SignedArray:
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 9))
+    if not rows or not cols:
+        return SignedArray(rows, cols, {})
+    entries = draw(st.sampled_from([
+        st.integers(-(10**6), 10**6),  # mixed widths, zero included
+        st.integers(-(10**6), -1),  # all negative
+        st.integers(-9, 9),
+    ]))
+    index = st.tuples(st.integers(1, rows), st.integers(1, cols))
+    return SignedArray(rows, cols, draw(st.dictionaries(index, entries)))
+
+
+# any positive k, r, s give a valid (sk, rk; r, s); the writers only print them
+params = st.builds(
+    lambda k, r, s: Params(s * k, r * k, r, s),
+    st.integers(1, 50), st.integers(1, 50), st.integers(1, 3),
+)
+
+
+@settings(max_examples=300)
+@given(sparse_arrays(), params)
+@example(SignedArray(0, 0, {}), Params(1, 1, 1, 1))
+@example(SignedArray(0, 4, {}), Params(1, 1, 1, 1))
+@example(SignedArray(3, 0, {}), Params(1, 1, 1, 1))
+@example(SignedArray(3, 4, {(2, 3): 0}), Params(2, 4, 4, 2))
+@example(SignedArray(3, 4, {(1, 4): -7, (3, 1): -12345}), Params(2, 4, 4, 2))
+def test_writers_match_reference(a, p):
+    assert to_json(a, p) == reference_json(a, p)
+    assert to_csv(a, p) == reference_csv(a, p)
+    assert to_grid(a) == reference_grid(a)
+

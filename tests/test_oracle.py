@@ -17,6 +17,8 @@ from smr import (
     verify_smr,
 )
 
+from goldens import by_line
+
 
 def test_no_2x5_design():
     outcome = decide(2, 5)
@@ -370,5 +372,6 @@ def test_canonical_columns_lose_no_generality(m, n, r):
     for a in found:
         c = canonicalize_columns(a)
         assert verify_smr(c, params).ok
+        _, cols = by_line(c)
         for k in range(1, n + 1):
-            assert sorted(c.column(k).values()) == [-k, k]
+            assert sorted(cols[k].values()) == [-k, k]

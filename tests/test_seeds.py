@@ -6,6 +6,8 @@ import pytest
 
 from smr import SEED_IDS, entry_multiset, is_shiftable, seed, seed_is_shiftable, verify_smr
 
+from goldens import by_line
+
 
 def test_catalog_is_complete():
     assert set(SEED_IDS) == {
@@ -37,21 +39,23 @@ def test_seed_shiftability_flag(sid):
 def test_seed_2x4_contents():
     a, p = seed("S_2x4")
     assert (p.m, p.n, p.r, p.s) == (2, 4, 4, 2)
-    assert a.row(1) == {1: 1, 2: -2, 3: -3, 4: 4}
-    assert a.row(2) == {1: -1, 2: 2, 3: 3, 4: -4}
+    rows, _ = by_line(a)
+    assert rows[1] == {1: 1, 2: -2, 3: -3, 4: 4}
+    assert rows[2] == {1: -1, 2: 2, 3: 3, 4: -4}
 
 
 def test_seed_2x3_contents():
     a, p = seed("S_2x3")
     assert (p.m, p.n, p.r, p.s) == (2, 3, 3, 2)
-    assert a.row(1) == {1: 1, 2: 2, 3: -3}
-    assert a.row(2) == {1: -1, 2: -2, 3: 3}
+    rows, _ = by_line(a)
+    assert rows[1] == {1: 1, 2: 2, 3: -3}
+    assert rows[2] == {1: -1, 2: -2, 3: 3}
 
 
 def test_seed_3x6_first_row():
     a, p = seed("S_3x6")
     assert (p.m, p.n, p.r, p.s) == (3, 6, 4, 2)
-    assert a.row(1) == {1: 1, 3: -3, 4: -4, 6: 6}
+    assert by_line(a)[0][1] == {1: 1, 3: -3, 4: -4, 6: 6}
 
 
 def test_seed_entry_ranges():
