@@ -89,6 +89,32 @@ def support_set(p: Params) -> SupportSet:
     return SupportSet(half=(p.m * p.s - 1) // 2, includes_zero=True)
 
 
+def _checked(rows: int, cols: int, items: Iterable) -> dict[tuple[int, int], int]:
+    """The one checked door into ``SignedArray``: check the shape, then take each
+    ``((row, col), entry)`` once.  A key that is no (row, col) tuple, a repeat,
+    a non-``int`` index or entry and a cell off the grid are ``ValueError``s;
+    the first defect in input order is raised."""
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"dimensions are not integers: {rows!r}x{cols!r}")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative dimensions {rows}x{cols}")
+    cells: dict[tuple[int, int], int] = {}
+    for key, e in items:
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"cell index {key!r} is not a (row, col) pair")
+        i, j = key
+        if key in cells:
+            raise ValueError(f"duplicate cell ({i},{j})")
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise ValueError(f"cell ({i},{j}) outside the {rows}x{cols} grid")
+        if type(e) is not int:
+            raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
+        cells[key] = e
+    return cells
+
+
 @dataclass(frozen=True)
 class SignedArray:
     """Sparse m x n grid of signed integer entries, 1-based indices.
@@ -107,25 +133,8 @@ class SignedArray:
     _shiftable: ClassVar[bool | None] = None
 
     def __post_init__(self) -> None:
-        if type(self.rows) is not int or type(self.cols) is not int:
-            raise ValueError(f"dimensions are not integers: {self.rows!r}x{self.cols!r}")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
-        cells = self.cells
-        # dict() over a mappingproxy goes key by key, about ten times slower
-        # than its copy(); the dict() around it keeps a copy that is no plain
-        # dict (a defaultdict inserts on lookup) out of the array
-        frozen = dict(cells.copy() if type(cells) is MappingProxyType else cells)
-        for (i, j), e in frozen.items():
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
-            if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-                raise ValueError(
-                    f"cell ({i},{j}) outside the {self.rows}x{self.cols} grid"
-                )
-            if type(e) is not int:
-                raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
-        object.__setattr__(self, "cells", MappingProxyType(frozen))
+        cells = _checked(self.rows, self.cols, self.cells.items())
+        object.__setattr__(self, "cells", MappingProxyType(cells))
 
     @classmethod
     def _trusted(
@@ -135,11 +144,10 @@ class SignedArray:
         cells: dict[tuple[int, int], int],
         shiftable: bool | None = None,
     ) -> SignedArray:
-        """Wrap ``cells`` without the checks of ``__post_init__``; the dict
-        is taken, not copied, and the caller must not write to it again.
-
-        Only for the outputs of transforms and direct blocks, which place
-        cells of validated (or themselves trusted) operands at ``int``
+        """Wrap ``cells`` unchecked; the dict is taken, not copied, and the
+        caller must not write to it again.  Only for the dicts ``_checked``
+        returns and for the outputs of transforms and direct blocks, which
+        place cells of checked (or themselves trusted) operands at ``int``
         offsets inside their own ``rows`` x ``cols``, so every check would
         pass.  ``shiftable`` records a shiftability known by construction.
         """
@@ -155,12 +163,7 @@ class SignedArray:
     def from_cells(
         cls, rows: int, cols: int, triples: Iterable[tuple[int, int, int]]
     ) -> SignedArray:
-        cells: dict[tuple[int, int], int] = {}
-        for i, j, e in triples:
-            if (i, j) in cells:
-                raise ValueError(f"duplicate cell ({i},{j})")
-            cells[i, j] = e
-        return cls(rows, cols, cells)
+        return cls._trusted(rows, cols, _checked(rows, cols, (((i, j), e) for i, j, e in triples)))
 
     @classmethod
     def from_dense(cls, grid: Iterable[Iterable[int]]) -> SignedArray:
@@ -169,13 +172,13 @@ class SignedArray:
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged row lengths")
-        cells = {
-            (i, j): e
+        pairs = (
+            ((i, j), e)
             for i, row in enumerate(rows, start=1)
             for j, e in enumerate(row, start=1)
             if e != 0
-        }
-        return cls(len(rows), cols, cells)
+        )
+        return cls._trusted(len(rows), cols, _checked(len(rows), cols, pairs))
 
     @property
     def is_empty(self) -> bool:
@@ -243,6 +246,10 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     Axioms: r filled cells per row, s per column, entry multiset equal to
     the support set, zero row sums, zero column sums.  Pure function; raises
     DimensionError when the array shape disagrees with ``p``.
+
+    Time and memory grow with the declared ``p.m + p.n`` and ``mr``, not with
+    the number of stored cells, and every failing row and column is listed:
+    an empty array that declares a million rows yields a million violations.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(

@@ -51,12 +51,14 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
         p = Params(obj["m"], obj["n"], obj["r"], obj["s"])
         # cell fields pass through as parsed, so SignedArray rejects 1.9, true and "1"
-        a = SignedArray.from_cells(p.m, p.n, [(i, j, e) for i, j, e in obj["cells"]])
+        a = SignedArray.from_cells(p.m, p.n, obj["cells"])
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

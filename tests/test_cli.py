@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smr import Params, seed, to_csv, to_grid, to_json
+from smr import Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
 from smr.cli import main
 
 from goldens import GRID_2x12, golden
@@ -317,3 +317,64 @@ def test_small_and_negative_arguments_end_in_a_documented_exit(parts):
         assert int(nodes) >= 0, argv
     if "--stats" in argv and code != 64:
         assert json.loads(err.getvalue())["nodes"] >= 0, argv
+
+
+# `smr verify` on the JSON or CSV of a small constructed array, mutated once
+_VERIFY_POINTS = [(2, 4, 4), (2, 7, 7), (3, 6, 4), (4, 6, 3), (5, 10, 4), (6, 9, 3)]
+_CELL = {
+    "json": re.compile(r"\[(-?\d+), (-?\d+), (-?\d+)\]"),
+    "csv": re.compile(r"^(-?\d+),(-?\d+),(-?\d+)$", re.MULTILINE),
+}
+_HUGE = "1" + "0" * 4999  # past the digit limit of int() and json.loads
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@st.composite
+def _mutated_files(draw):
+    """(format, array, params, text, mutation, the exit codes it may give)."""
+    m, n, r = draw(st.sampled_from(_VERIFY_POINTS))
+    fmt = draw(st.sampled_from(["json", "csv"]))
+    a, p = construct(m, n, r)[0], Params(m, n, r, 2)
+    text = to_json(a, p) if fmt == "json" else to_csv(a, p)
+    cells = list(_CELL[fmt].finditer(text))
+    cell = draw(st.sampled_from(cells))
+    sep = ", " if fmt == "json" else "\n"
+    kind = draw(st.sampled_from(["none", "truncate", "replace", "delete", "duplicate", "off grid"]))
+    if kind == "none":
+        return fmt, a, p, text, kind, {0}
+    if kind == "truncate":
+        return fmt, a, p, text[: draw(st.integers(0, len(text) - 1))], kind, {0, 1, 3}
+    if kind == "replace":
+        number = draw(st.sampled_from(list(re.finditer(r"-?\d+", text))))
+        junk = draw(st.sampled_from(["1.9", "true", '"1"', "null", _HUGE]))
+        codes = {1} if junk != _HUGE or 0 < _DIGIT_LIMIT < len(_HUGE) else {1, 3}
+        return fmt, a, p, text[: number.start()] + junk + text[number.end() :], kind, codes
+    if kind == "delete":
+        # the cell and one separator: the one after it, or the one before the last
+        start, end = cell.span()
+        if text.startswith(sep, end):
+            end += len(sep)
+        else:
+            start -= len(sep)
+        return fmt, a, p, text[:start] + text[end:], kind, {3}
+    if kind == "duplicate":
+        end = cell.end()
+        return fmt, a, p, text[:end] + sep + cell.group() + text[end:], kind, {1}
+    group, value = draw(st.sampled_from([(1, 0), (1, m + 1), (2, 0), (2, n + 1)]))
+    off = text[: cell.start(group)] + str(value) + text[cell.end(group) :]
+    return fmt, a, p, off, kind, {1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_files())
+def test_verify_survives_one_mutation(tmp_path_factory, case):
+    fmt, a, p, text, kind, codes = case
+    path = tmp_path_factory.getbasetemp() / f"mutated.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in codes, (kind, text[:200], err.getvalue()[:200])
+    if kind == "none":
+        assert out.getvalue() == "pass\n"
+        assert (from_json if fmt == "json" else from_csv)(text) == (a, p)

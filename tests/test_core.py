@@ -63,6 +63,8 @@ def test_array_bounds_checked():
         {(1, True): 1, (2, 1): -1},
         {(1, 1): 1.0, (2, 1): -1},
         {(1, 1): True, (2, 1): -1},
+        {5: 1},
+        {(1, 2, 3): 1},
     ):
         with pytest.raises(ValueError):
             SignedArray(2, 2, cells)
@@ -85,6 +87,36 @@ def test_from_cells_names_the_first_repeat_in_input_order():
     with pytest.raises(TypeError, match="unhashable"):
         SignedArray.from_cells(2, 2, [(1, 1, 1), ([1], 1, 3), (1, 1, 2)])
     assert SignedArray.from_cells(2, 2, iter(triples[:2])).cells == {(1, 1): 1, (2, 2): 2}
+
+
+def test_first_defect_in_input_order_is_reported():
+    # one loop takes the cells in input order, so a repeat is no longer
+    # reported ahead of a defect in an earlier cell
+    with pytest.raises(ValueError, match=r"cell \(3,1\) outside the 2x2 grid"):
+        SignedArray.from_cells(2, 2, [(3, 1, 1), (1, 1, 1), (1, 1, 2)])
+    with pytest.raises(ValueError, match=r"entry at \(1,1\) is not an integer: 1.5"):
+        SignedArray.from_cells(2, 2, [(1, 1, 1.5), (2, 2, 1), (2, 2, 1)])
+    with pytest.raises(ValueError, match=r"duplicate cell \(1,1\)"):
+        SignedArray.from_cells(2, 2, [(1, 1, 1), (1, 1, 2), (3, 1, 1.5)])
+    with pytest.raises(ValueError, match=r"cell \(3,3\) outside"):
+        SignedArray(2, 2, {(3, 3): 1, (1, 1): 1.5})
+    with pytest.raises(ValueError, match=r"entry at \(1,1\)"):
+        SignedArray(2, 2, {(1, 1): 1.5, (3, 3): 1})
+    with pytest.raises(ValueError, match=r"entry at \(1,2\)"):
+        SignedArray.from_dense([[1, 1.5], [2.5, 3]])
+
+
+def test_a_key_that_is_no_pair_is_named():
+    with pytest.raises(ValueError, match=r"cell index 5 is not a \(row, col\) pair"):
+        SignedArray(2, 2, {(1, 1): 1, 5: 1})
+    with pytest.raises(ValueError, match=r"cell index \(1, 2, 3\) is not a \(row, col\) pair"):
+        SignedArray(2, 2, {(1, 2, 3): 1})
+    # keys that unpack into two values are no pair either: stored, they would
+    # hide the cell from a lookup by (row, col) and change in a round trip
+    with pytest.raises(ValueError, match=r"cell index frozenset\(\{1, 2\}\) is not a"):
+        SignedArray(2, 2, {frozenset({1, 2}): 1})
+    with pytest.raises(ValueError, match=r"cell index 'ab' is not a \(row, col\) pair"):
+        SignedArray(2, 2, {"ab": 1})
 
 
 def test_verify_seed_passes():

@@ -107,6 +107,8 @@ def test_json_parse_errors_carry_location():
         ("[1, 1, 1]", "[1, false, 1]"),
         ('"m": 2', '"m": 2.0'),
         ('"r": 3', '"r": true'),
+        # past the interpreter's digit limit json.loads raises a plain ValueError
+        ("[1, 1, 1]", "[1, 1, 1" + "0" * 4999 + "]"),
     ]:
         assert old in text
         with pytest.raises(ParseError):

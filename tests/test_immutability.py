@@ -103,7 +103,7 @@ def test_input_dict_is_copied():
 
 
 def test_array_built_from_cells_of_another():
-    # the cells of another array are copied fast, and still checked
+    # the cells of another array are copied, and still checked
     a = construct(6, 15, 5)[0]
     assert SignedArray(a.rows, a.cols, a.cells) == a
     with pytest.raises(ValueError):
