@@ -36,7 +36,7 @@ from .oracle import (
     cross_check,
     decide,
 )
-from .seeds import SEED_IDS, seed, seed_is_shiftable
+from .seeds import SEED_IDS, seed
 from .transforms import (
     JoinMismatchError,
     NotShiftableError,
@@ -90,7 +90,6 @@ __all__ = [
     "join_horizontal",
     "replay",
     "seed",
-    "seed_is_shiftable",
     "shift",
     "spread",
     "support_half",

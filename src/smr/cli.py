@@ -1,9 +1,10 @@
 """Command-line surface: generate, verify, decide, seed, oracle, crosscheck, sweep.
 
-Exit codes: 0 success, 1 internal error or parse failure, 2 infeasible
-parameters, 3 verification failure or cross-check disagreement, 4 search
-budget cutoff, 64 bad usage.  Output is deterministic: no timestamps, no
-randomness, byte-identical across runs for fixed arguments.
+Exit codes: 0 success, 1 internal error, parse failure or output that cannot
+be written, 2 infeasible parameters, 3 verification failure or cross-check
+disagreement, 4 search budget cutoff, 64 bad usage.  Output is deterministic:
+no timestamps, no randomness, no environment variables; byte-identical across
+runs for fixed arguments.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    names = ("grid", "json", "csv")
-    p.add_argument("--format", choices=names, default="grid", dest="format")
-    for name in names:
-        p.add_argument(
-            f"--{name}", action="store_const", const=name, dest="format",
-            help=f"shorthand for --format {name}",
-        )
+    p.set_defaults(format="grid")
+    for name, doc in (("grid", "a grid (the default)"), ("json", "JSON"), ("csv", "CSV")):
+        text = f"print the array as {doc}"
+        p.add_argument(f"--{name}", action="store_const", const=name, dest="format", help=text)
 
 
 def _render(a, p: Params, fmt: str) -> str:
@@ -62,21 +60,9 @@ def _render_trace(trace: RouteTrace) -> str:
 
 
 def _budget(args: argparse.Namespace) -> int:
-    """The node budget: --budget, else SMR_BUDGET, else DEFAULT_BUDGET."""
-    if args.budget is not None:
-        if args.budget < 0:
-            raise _UsageError(f"--budget must be >= 0, got {args.budget}")
-        return args.budget
-    raw = os.environ.get("SMR_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"SMR_BUDGET must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise _UsageError(f"SMR_BUDGET must be >= 0, got {raw!r}")
-    return budget
+    if args.budget < 0:
+        raise _UsageError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="decide existence by exhaustive search")
     p_oracle.add_argument("m", type=int)
     p_oracle.add_argument("r", type=int)
-    p_oracle.add_argument("--budget", type=int, default=None)
+    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_oracle.add_argument("--witness", action="store_true")
     p_oracle.add_argument(
         "--stats", action="store_true",
@@ -120,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cross.add_argument("--max-m", type=int, required=True)
     p_cross.add_argument("--max-r", type=int, required=True)
-    p_cross.add_argument("--budget", type=int, default=None)
+    p_cross.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_sweep = sub.add_parser(
         "sweep", help="construct and verify every feasible point in a parameter grid"
@@ -156,7 +142,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             array, params = formats.from_json(text)
         else:
             array, params = formats.from_csv(text)
-    except (formats.ParseError, ValueError) as exc:
+    except ValueError as exc:  # formats.ParseError among them
         print(f"parse failure in {args.path}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report = verify_smr(array, params)
@@ -192,7 +178,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         stats["pruned"] = stats.pop("pruned")  # last, after the keys of earlier releases
         print(json.dumps(stats), file=sys.stderr)
     print(f"{outcome.status} (nodes: {outcome.nodes})")
-    if outcome.status == "exists" and args.witness and outcome.witness is not None:
+    if outcome.status == "exists" and args.witness:
         params = Params(args.m, (args.m * args.r) // 2, args.r, 2)
         sys.stdout.write(_render(outcome.witness, params, args.format))
     if outcome.status == "cutoff":
@@ -217,24 +203,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for m in range(2, args.max_m + 1):
         for r in range(3, args.max_r + 1):
             n = (m * r) // 2
-            verdict = feasibility(m, n, r)
-            if verdict.feasible:
-                try:
-                    array, _ = construct(m, n, r)
-                    report = verify_smr(array, Params(m, n, r, 2))
-                except Exception as exc:  # constructions must never fail here
-                    failures.append(f"construct({m},{n},{r}) raised {exc!r}")
-                    continue
-                if report.ok:
-                    built += 1
-                else:
-                    failures.append(f"construct({m},{n},{r}) fails verification: {report}")
+            try:
+                array, _ = construct(m, n, r)
+                report = verify_smr(array, Params(m, n, r, 2))
+            except InfeasibleError:
+                rejected += 1
+                continue
+            except Exception as exc:  # a feasible point must never fail
+                failures.append(f"construct({m},{n},{r}) raised {exc!r}")
+                continue
+            if report.ok:
+                built += 1
             else:
-                try:
-                    construct(m, n, r)
-                    failures.append(f"construct({m},{n},{r}) succeeded on infeasible input")
-                except InfeasibleError:
-                    rejected += 1
+                failures.append(f"construct({m},{n},{r}) fails verification: {report}")
     print(
         f"sweep m=2..{args.max_m} r=3..{args.max_r}: "
         f"{built} constructed and verified, {rejected} infeasible rejected"
@@ -258,15 +239,32 @@ _COMMANDS = {
 }
 
 
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that the
+    interpreter's own flush at exit drops what could not be written instead
+    of failing a second time.  Not a file: nothing flushes it at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a write that fails fails here, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
+    except OSError as exc:  # stdout refused the output: a closed pipe, a full disk
+        _drop_stdout()
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -66,15 +66,6 @@ class SupportSet:
     half: int
     includes_zero: bool
 
-    @property
-    def cardinality(self) -> int:
-        return 2 * self.half + (1 if self.includes_zero else 0)
-
-    def __contains__(self, value: int) -> bool:
-        if value == 0:
-            return self.includes_zero
-        return 1 <= abs(value) <= self.half
-
     def sorted_values(self) -> tuple[int, ...]:
         negatives = range(-self.half, 0)
         positives = range(1, self.half + 1)

@@ -245,7 +245,8 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         cells[q + 1, k] = -k
     witness = SignedArray(m, n, cells)
     report = verify_smr(witness, Params(m, n, r, 2))
-    assert report.ok, f"search produced an invalid witness: {report}"
+    if not report.ok:  # raised, not asserted: python -O must not skip it
+        raise AssertionError(f"search produced an invalid witness: {report}")
     return SearchOutcome("exists", witness, nodes, stats)
 
 

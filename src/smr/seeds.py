@@ -11,7 +11,7 @@ In the dense literals below, 0 marks an empty cell; no stored entry is zero.
 
 from __future__ import annotations
 
-from .core import Params, SignedArray, is_shiftable, verify_smr
+from .core import Params, SignedArray, verify_smr
 
 _CATALOG: dict[str, tuple[Params, list[list[int]]]] = {
     "S_2x4": (
@@ -103,11 +103,7 @@ def seed(seed_id: str) -> tuple[SignedArray, Params]:
         params, grid = _CATALOG[seed_id]
         array = SignedArray.from_dense(grid)
         report = verify_smr(array, params)
-        assert report.ok, f"seed {seed_id} fails validation: {report}"
+        if not report.ok:  # raised, not asserted: python -O must not skip it
+            raise AssertionError(f"seed {seed_id} fails validation: {report}")
         _cache[seed_id] = (array, params)
     return _cache[seed_id]
-
-
-def seed_is_shiftable(seed_id: str) -> bool:
-    """Whether the seed balances signs in every line; KeyError if unknown."""
-    return is_shiftable(seed(seed_id)[0])

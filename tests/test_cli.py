@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smr import Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
+from smr import SEED_IDS, Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
 from smr.cli import main
 
 from goldens import GRID_2x12, golden
@@ -212,12 +214,6 @@ def test_oracle_stats_leave_stdout_alone(capsys, argv):
     assert stats["elapsed_s"] >= 0 and stats["nodes_per_s"] >= 0
 
 
-def test_oracle_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SMR_BUDGET", "5")
-    code, out, _ = run_cli(capsys, "oracle", 6, 8)
-    assert code == 4
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -232,18 +228,8 @@ def test_negative_budget_is_usage_error(capsys, argv):
     assert "--budget must be >= 0" in err
 
 
-@pytest.mark.parametrize("argv", [("oracle", 4, 5), ("crosscheck", "--max-m", 3, "--max-r", 3)])
-def test_negative_budget_env_is_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("SMR_BUDGET", "-3")
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (64, "")
-    assert "SMR_BUDGET must be >= 0" in err
-
-
-def test_zero_budget_cuts_off_at_the_first_node(capsys, monkeypatch):
+def test_zero_budget_cuts_off_at_the_first_node(capsys):
     assert run_cli(capsys, "oracle", 4, 5, "--budget", 0)[:2] == (4, "cutoff (nodes: 1)\n")
-    monkeypatch.setenv("SMR_BUDGET", "0")
-    assert run_cli(capsys, "oracle", 4, 5)[:2] == (4, "cutoff (nodes: 1)\n")
 
 
 def test_crosscheck_clean(capsys):
@@ -287,6 +273,39 @@ def test_output_bytes_identical_across_runs(argv):
     assert first.stderr == second.stderr == b""
 
 
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [("gen", 2, 4, 4, "--json"), ("decide", 2, 4, 4)])
+def test_unwritable_stdout_exits_1(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullDisk()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code == 1
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert err.getvalue() == f"cannot write output: {full}\n"
+
+
+# buffered, stdout fails at main's flush; unbuffered, at the command's write.
+# Either way nothing may be left for the interpreter's flush at exit to fail
+# on: that prints "Exception ignored" and exits 120.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [("gen", "2", "4", "4", "--json"), ("decide", "2", "4", "4")])
+def test_full_disk_exits_1_with_one_line(argv, unbuffered):
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "smr", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=env, check=False,
+        )
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("cannot write output: "), lines
+
+
 # negative budgets drawn as often as the others: they are the ones to reject
 _budget_flag = st.tuples(st.just("--budget"), st.one_of(st.integers(-3, -1), st.integers(0, 300)))
 _oracle_argv = st.tuples(
@@ -303,10 +322,24 @@ _crosscheck_argv = st.tuples(
 _decide_argv = st.tuples(
     st.just(("decide",)), st.tuples(st.integers(-2, 6), st.integers(-2, 24), st.integers(-2, 8))
 )
+_gen_argv = st.tuples(
+    st.just(("gen",)),
+    st.tuples(st.integers(-2, 12), st.integers(-2, 12), st.integers(-2, 12)),
+    st.lists(st.sampled_from(["--json", "--csv", "--trace"]), unique=True),
+)
+_seed_argv = st.tuples(
+    st.just(("seed",)),
+    st.tuples(st.one_of(st.sampled_from(SEED_IDS), st.text("S_x0123456789 ", max_size=7))),
+    st.lists(st.sampled_from(["--json", "--csv"]), unique=True),
+)
+_sweep_argv = st.tuples(
+    st.just(("sweep",)),
+    st.tuples(st.just("--max-m"), st.integers(-2, 8), st.just("--max-r"), st.integers(-2, 8)),
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_oracle_argv, _crosscheck_argv, _decide_argv))
+@given(st.one_of(_oracle_argv, _crosscheck_argv, _decide_argv, _gen_argv, _seed_argv, _sweep_argv))
 def test_small_and_negative_arguments_end_in_a_documented_exit(parts):
     argv = [str(a) for part in parts for a in part]
     out, err = io.StringIO(), io.StringIO()

@@ -38,19 +38,18 @@ def test_support_set_even_case():
     s = support_set(Params(2, 4, 4, 2))
     assert s.half == 4 and not s.includes_zero
     assert s.sorted_values() == (-4, -3, -2, -1, 1, 2, 3, 4)
-    assert s.cardinality == 8
 
 
 def test_support_set_odd_case_singleton_zero():
     s = support_set(Params(1, 1, 1, 1))
     assert s.sorted_values() == (0,)
-    assert 0 in s and 1 not in s
+    assert s.half == 0 and s.includes_zero
 
 
 def test_support_set_spread_parameters():
     s = support_set(Params(8, 12, 3, 2))
     assert s.half == 12 and not s.includes_zero
-    assert s.cardinality == 24
+    assert len(s.sorted_values()) == 24
 
 
 def test_array_bounds_checked():

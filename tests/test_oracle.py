@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -375,3 +377,17 @@ def test_canonical_columns_lose_no_generality(m, n, r):
         _, cols = by_line(c)
         for k in range(1, n + 1):
             assert sorted(cols[k].values()) == [-k, k]
+
+
+def test_invalid_witness_fails_under_python_O():
+    # the witness check raises, so python -O, which strips asserts, keeps it
+    code = (
+        "import smr.oracle as o; from smr.core import VerificationReport, Violation; "
+        "o.verify_smr = lambda a, p: VerificationReport((Violation('support', None, 'x'),)); "
+        "o.decide(4, 5)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False
+    )
+    assert done.returncode != 0
+    assert "search produced an invalid witness" in done.stderr

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
-from smr import SEED_IDS, entry_multiset, is_shiftable, seed, seed_is_shiftable, verify_smr
+from smr import SEED_IDS, entry_multiset, is_shiftable, seed, verify_smr
 
 from goldens import by_line
 
@@ -33,7 +36,6 @@ def test_seed_shiftability_flag(sid):
     a, _ = seed(sid)
     expected = sid != "S_2x3"
     assert is_shiftable(a) == expected
-    assert seed_is_shiftable(sid) == expected
 
 
 def test_seed_2x4_contents():
@@ -76,5 +78,13 @@ def test_seed_entry_ranges():
 def test_unknown_seed_id():
     with pytest.raises(KeyError):
         seed("S_9x9")
-    with pytest.raises(KeyError):
-        seed_is_shiftable("nope")
+
+
+def test_corrupted_seed_fails_under_python_O():
+    # the catalog check raises, so python -O, which strips asserts, keeps it
+    code = "import smr.seeds as s; s._CATALOG['S_2x4'][1][0][0] = 2; s.seed('S_2x4')"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False
+    )
+    assert done.returncode != 0
+    assert "fails validation" in done.stderr
