@@ -7,9 +7,15 @@ no timestamps, no randomness, no environment variables; byte-identical across
 runs for fixed arguments.
 """
 
+# The docstring above is also the description `smr --help` prints.  Opt-in
+# diagnostics (gen --trace, oracle --stats) go to stderr, so stdout is the
+# same with or without them.  `main` builds its parser once per process, on
+# its first call (see `build_parser`), and `--help` returns 0 from `main`.
+
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,10 +40,18 @@ class _UsageError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    """argparse's exit after --help; its one argument is the exit status."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the taxonomy here wants 64
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    # --help, having printed its text, exits the process; `main` returns instead
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+        raise _ParserExit(status)
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -65,7 +79,11 @@ def _budget(args: argparse.Namespace) -> int:
     return args.budget
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `smr` parser, built on the first call and shared by every later
+    one (building it costs far more than a small command): callers must not
+    change it."""
     parser = _Parser(prog="smr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,7 +144,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params = Params(args.m, args.n, args.r, 2)
     sys.stdout.write(_render(array, params, args.format))
     if args.trace:
-        sys.stdout.write(_render_trace(trace))
+        sys.stdout.flush()  # so that 2>&1 still puts the trace after the array
+        sys.stderr.write(_render_trace(trace))
     return EXIT_OK
 
 
@@ -252,11 +271,17 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def _run(argv: Sequence[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except _ParserExit as exc:  # --help has printed its text
+        return exc.args[0]
+    return _COMMANDS[args.command](args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
         sys.stdout.flush()  # a write that fails fails here, not at exit
         return code
     except _UsageError as exc:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr import SEED_IDS, Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
-from smr.cli import main
+from smr.cli import build_parser, main
 
 from goldens import GRID_2x12, golden
 
@@ -56,9 +56,10 @@ def test_gen_infeasible_exit_2(capsys):
 
 
 def test_gen_trace_appended(capsys):
-    code, out, _ = run_cli(capsys, "gen", 2, 12, 12, "--trace")
+    code, out, err = run_cli(capsys, "gen", 2, 12, 12, "--trace")
     assert code == 0
-    assert out.endswith("# trace: seed id=S_2x4\n# trace: inflate_horizontal k=3\n")
+    assert out == to_grid(golden(GRID_2x12))
+    assert err == "# trace: seed id=S_2x4\n# trace: inflate_horizontal k=3\n"
 
 
 def test_decide_feasible(capsys):
@@ -97,6 +98,42 @@ def test_bad_arguments_exit_64(capsys):
     assert code == 64
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gen", "--help")])
+def test_help_returns_0(capsys, monkeypatch, argv):
+    """In process, --help prints what `python -m smr --help` prints and returns 0."""
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(("usage: smr", *argv[:-1], "[-h]")))
+    env = {**os.environ, "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", *argv], capture_output=True, env=env, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
+
+
+def test_one_process_many_calls(capsys):
+    """One parser serves every call, and no option of a call carries over."""
+    build_parser.cache_clear()
+    grid = to_grid(golden(GRID_2x12))
+    json_text = to_json(golden(GRID_2x12), Params(2, 12, 12, 2))
+    assert run_cli(capsys, "gen", 2, 12, 12, "--json")[:2] == (0, json_text)
+    assert run_cli(capsys, "gen", 2, 12, 12) == (0, grid, "")
+    code, out, _ = run_cli(capsys, "oracle", 4, 5, "--witness", "--csv")
+    first, witness = out.split("\n", 1)
+    assert code == 0 and witness.startswith("# m=4 n=10 r=5 s=2\n")
+    assert run_cli(capsys, "oracle", 4, 5) == (0, first + "\n", "")
+    code, out, err = run_cli(capsys, "gen", 2, 12, 12, "--trace")
+    assert (code, out) == (0, grid) and err.startswith("# trace: ")
+    assert run_cli(capsys, "gen", 2, 12, 12) == (0, grid, "")
+    assert run_cli(capsys, "gen", "two", 12, 12)[:2] == (64, "")
+    assert run_cli(capsys, "decide", 2, 11, 11) == (0, "feasible: OK_M2\n", "")
+    assert run_cli(capsys, "--help")[0] == 0
+    assert run_cli(capsys, "seed", "S_2x4") == (0, " 1 -2 -3  4\n-1  2  3 -4\n", "")
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
 
 
 def test_verify_round_trip_json(tmp_path, capsys):
@@ -257,6 +294,13 @@ def _run_module(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+# what `smr gen 7 14 4 --trace` writes on stderr
+_TRACE_7_14_4 = (
+    b"# trace: seed id=S_2x4\n# trace: inflate_diagonal k=2\n# trace: seed id=S_3x6\n"
+    b"# trace: join_diagonal\n# trace: inflate_horizontal k=1\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -270,7 +314,19 @@ def test_output_bytes_identical_across_runs(argv):
     second = _run_module(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    assert first.stderr == second.stderr == b""
+    assert first.stderr == second.stderr == (_TRACE_7_14_4 if "--trace" in argv else b"")
+
+
+def test_gen_trace_follows_the_array_in_a_merged_stream():
+    """2>&1 gives the array, then the trace, as when both went to stdout."""
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "gen", "7", "14", "4", "--json", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, check=False,
+        env={**os.environ, "PYTHONUNBUFFERED": ""},  # a buffered stdout would write last
+    )
+    a = construct(7, 14, 4)[0]
+    assert done.returncode == 0
+    assert done.stdout == to_json(a, Params(7, 14, 4, 2)).encode() + _TRACE_7_14_4
 
 
 class _FullDisk(io.StringIO):
