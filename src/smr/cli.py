@@ -11,6 +11,8 @@ runs for fixed arguments.
 # diagnostics (gen --trace, oracle --stats) go to stderr, so stdout is the
 # same with or without them.  `main` builds its parser once per process, on
 # its first call (see `build_parser`), and `--help` returns 0 from `main`.
+# A request too large for memory (a huge shape, or the state of a search
+# over a huge m) ends in one stderr line and exit 1, not a traceback.
 
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("r", type=int)
     _add_format_flags(p_gen)
     p_gen.add_argument(
-        "--trace", action="store_true", help="append the applied operator sequence"
+        "--trace", action="store_true", help="write the applied operator sequence on stderr"
     )
 
     p_verify = sub.add_parser("verify", help="check a serialized array against the axioms")
@@ -290,6 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # stdout refused the output: a closed pipe, a full disk
         _drop_stdout()
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("out of memory: the request needs more memory than is available", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -137,10 +137,10 @@ class SignedArray:
     ) -> SignedArray:
         """Wrap ``cells`` unchecked; the dict is taken, not copied, and the
         caller must not write to it again.  Only for the dicts ``_checked``
-        returns and for the outputs of transforms and direct blocks, which
-        place cells of checked (or themselves trusted) operands at ``int``
-        offsets inside their own ``rows`` x ``cols``, so every check would
-        pass.  ``shiftable`` records a shiftability known by construction.
+        returns, for direct blocks and for materialized transform layouts,
+        which place cells of checked (or themselves trusted) leaves at
+        ``int`` offsets inside their own ``rows`` x ``cols``, so every check
+        would pass.  ``shiftable`` records a shiftability known by construction.
         """
         a = object.__new__(cls)
         object.__setattr__(a, "rows", rows)

@@ -14,7 +14,9 @@ it.  There is no five-column construction at m = 2.
 Blocks and spread outputs are built with ``SignedArray._trusted``: their
 cells lie inside their own shape by construction.  ``CompactBlock`` checks
 the block invariants that spreading relies on, once: its array is a
-``SignedArray``, which cannot change afterwards.
+``SignedArray``, which cannot change afterwards.  A spread output is a leaf
+of the layouts that ``dispatch.replay`` composes: a join takes it as one
+part and copies no cell of it until the final array is materialized.
 """
 
 from __future__ import annotations

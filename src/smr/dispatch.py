@@ -6,6 +6,10 @@ criterion as a total function with machine-readable reason codes;
 ``construct`` routes every feasible point through a fixed pipeline of seeds,
 inflations, joins and direct blocks, recording the applied operator sequence
 so a result can be replayed exactly.
+
+``replay`` runs a trace on ``transforms.Layout`` values: seeds and spread
+blocks enter as one-part layouts, the inflations and joins rearrange parts,
+and the array is written once, when the last step's layout is materialized.
 """
 
 from __future__ import annotations
@@ -16,12 +20,7 @@ from typing import Callable
 from .core import SignedArray
 from .direct import CompactBlock, five_column_block, spread, three_column_block
 from .seeds import seed
-from .transforms import (
-    inflate_diagonal,
-    inflate_horizontal,
-    join_diagonal,
-    join_horizontal,
-)
+from .transforms import Layout
 
 @dataclass(frozen=True)
 class Verdict:
@@ -95,22 +94,32 @@ def _step(op: str, **kwargs: object) -> TraceStep:
     return TraceStep(op, tuple(sorted(kwargs.items())))
 
 
-def _seed_array(seed_id: str) -> SignedArray:
-    return seed(seed_id)[0]
+def _seed_layout(seed_id: str) -> Layout:
+    return Layout.of(seed(seed_id)[0])
+
+
+def _spread_layout(block: CompactBlock) -> Layout:
+    return Layout.of(spread(block))
 
 
 # Trace ops: the function, the kinds of the operands it pops (a join's fixed
 # operand last, as it is pushed last), and its arguments with their types.
+# An array operand is a Layout on the stack.
 _OPS: dict[str, tuple[Callable, tuple[type, ...], tuple[tuple[str, type], ...]]] = {
-    "seed": (_seed_array, (), (("id", str),)),
-    "inflate_horizontal": (inflate_horizontal, (SignedArray,), (("k", int),)),
-    "inflate_diagonal": (inflate_diagonal, (SignedArray,), (("k", int),)),
-    "join_horizontal": (join_horizontal, (SignedArray, SignedArray), ()),
-    "join_diagonal": (join_diagonal, (SignedArray, SignedArray), ()),
+    "seed": (_seed_layout, (), (("id", str),)),
+    "inflate_horizontal": (Layout.inflate_horizontal, (Layout,), (("k", int),)),
+    "inflate_diagonal": (Layout.inflate_diagonal, (Layout,), (("k", int),)),
+    "join_horizontal": (Layout.join_horizontal, (Layout, Layout), ()),
+    "join_diagonal": (Layout.join_diagonal, (Layout, Layout), ()),
     "three_column_block": (three_column_block, (), (("m", int),)),
     "five_column_block": (five_column_block, (), (("m", int),)),
-    "spread": (spread, (CompactBlock,), ()),
+    "spread": (_spread_layout, (CompactBlock,), ()),
 }
+
+
+def _kind(kind: type) -> str:
+    """An operand kind as traces name it: a Layout is an array."""
+    return "SignedArray" if kind is Layout else kind.__name__
 
 
 def replay(trace: RouteTrace) -> SignedArray:
@@ -121,9 +130,11 @@ def replay(trace: RouteTrace) -> SignedArray:
     coercion, so k=2.7, k="3" and k=True fail), too few operands or
     one of the wrong kind, or a failed precondition of the operator (raised
     as the operator's own ValueError subclass).  Operands left over at the
-    end raise ValueError too.
+    end raise ValueError too.  Array operands stay layouts until the end,
+    and the result equals that of the public operators applied one by one:
+    the same cells in the same order, and the same recorded shiftability.
     """
-    stack: list[SignedArray | CompactBlock] = []
+    stack: list[Layout | CompactBlock] = []
     for number, st in enumerate(trace.steps, start=1):
         try:
             _apply(st, stack)
@@ -133,12 +144,12 @@ def replay(trace: RouteTrace) -> SignedArray:
             raise type(exc)(f"trace step {number} ({st}): {exc}") from exc
     if len(stack) != 1:
         raise ValueError(f"trace left {len(stack)} operands on the stack")
-    if not isinstance(stack[0], SignedArray):
+    if not isinstance(stack[0], Layout):
         raise ValueError(f"trace ends with a {type(stack[0]).__name__}, not an array")
-    return stack[0]
+    return stack[0].materialize()
 
 
-def _apply(st: TraceStep, stack: list[SignedArray | CompactBlock]) -> None:
+def _apply(st: TraceStep, stack: list[Layout | CompactBlock]) -> None:
     """Pop the operands of one step and push its result."""
     if st.op not in _OPS:
         raise ValueError(f"unknown trace op {st.op!r}")
@@ -156,7 +167,7 @@ def _apply(st: TraceStep, stack: list[SignedArray | CompactBlock]) -> None:
     operands = stack[len(stack) - len(kinds) :]
     for operand, kind in zip(operands, kinds):
         if not isinstance(operand, kind):
-            raise ValueError(f"expects {kind.__name__}, found {type(operand).__name__}")
+            raise ValueError(f"expects {_kind(kind)}, found {_kind(type(operand))}")
     del stack[len(stack) - len(kinds) :]
     stack.append(fn(*operands, *values))
 

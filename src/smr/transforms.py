@@ -9,12 +9,18 @@ entry of a valid array).  Degenerate empty operands are accepted by the
 inflations (k = 0) and act as identities in the joins, so boundary cases of
 the dispatch table need no special-casing.
 
-Outputs are built with ``SignedArray._trusted``: their cells are operand
-cells at ``int`` offsets inside the output's own shape, so the full
-validation would only repeat what the operands already passed.  Inflation
-and shift outputs record that they are shiftable, and join outputs carry
-the fixed operand's recorded flag, so that the shiftability preconditions
-of later steps need not rescan them.
+The operators act on a ``Layout``: a shape, a cell count, a shiftability
+flag and a list of parts, each a leaf array placed at a row and column
+offset with its entries moved a fixed amount away from zero.  A join only
+appends parts and an inflation lays out copies of its materialized operand,
+so a chain of operators writes each output cell once, when
+``Layout.materialize`` builds the array.  That array is made with
+``SignedArray._trusted``: its cells are leaf cells at ``int`` offsets
+inside its own shape, so the full validation would only repeat what the
+leaves already passed.  Inflation and shift results record that they are
+shiftable, and join results carry the fixed operand's recorded flag, so that
+the shiftability preconditions of later steps need not rescan them.  The
+public functions wrap one operator each: layout in, materialized array out.
 """
 
 from __future__ import annotations
@@ -34,16 +40,15 @@ class JoinMismatchError(ValueError):
     """Join operands disagree on shared dimensions or fill degrees."""
 
 
+def _half(size: int) -> int:
+    if size % 2:
+        raise ParityError(f"array has an odd cell count {size}")
+    return size // 2
+
+
 def support_half(a: SignedArray) -> int:
     """Half the cell count: the shift quantum used by inflations and joins."""
-    if len(a.cells) % 2:
-        raise ParityError(f"array has an odd cell count {len(a.cells)}")
-    return len(a.cells) // 2
-
-
-def _shiftable(a: SignedArray) -> bool:
-    """a's shiftability: the flag recorded by construction, else computed."""
-    return is_shiftable(a) if a._shiftable is None else a._shiftable
+    return _half(len(a.cells))
 
 
 def _place(
@@ -56,19 +61,131 @@ def _place(
     return cells
 
 
+def _check_count(k: object, what: str) -> None:
+    if type(k) is not int or k < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {k!r}")
+
+
+class Layout:
+    """An array not yet written: ``rows`` x ``cols`` holding ``size`` cells,
+    the union of ``parts``, each a (leaf, row offset, column offset, shift).
+    ``shiftable`` is the flag its array will record (None when unknown).
+
+    A value: no operator changes a layout, each returns a new one.  A slots
+    class, not a named tuple or a dataclass, whose class construction would
+    add to the start-up time of every ``smr`` process.
+    """
+
+    __slots__ = ("rows", "cols", "size", "shiftable", "parts")
+
+    def __init__(self, rows: int, cols: int, size: int, shiftable: bool | None, parts: tuple):
+        self.rows = rows
+        self.cols = cols
+        self.size = size
+        self.shiftable = shiftable
+        self.parts = parts
+
+    @classmethod
+    def of(cls, a: SignedArray) -> Layout:
+        return cls(a.rows, a.cols, len(a.cells), a._shiftable, ((a, 0, 0, 0),))
+
+    def materialize(self) -> SignedArray:
+        """Write every part's cells, in part order, into one array."""
+        if len(self.parts) == 1:  # the leaf itself, when it is all of the array
+            a, row_off, col_off, t = self.parts[0]
+            if not (row_off or col_off or t) and a.rows == self.rows and a.cols == self.cols:
+                if a._shiftable is self.shiftable:
+                    return a
+        cells: dict[tuple[int, int], int] = {}
+        for a, row_off, col_off, t in self.parts:
+            if cells or row_off or col_off or t:
+                _place(cells, a, t, row_off, col_off)
+            else:  # a leading part that moves nothing: one C-level dict copy
+                cells = a.cells.copy()
+        return SignedArray._trusted(self.rows, self.cols, cells, self.shiftable)
+
+    def _is_shiftable(self) -> bool:
+        if self.shiftable is None:
+            return is_shiftable(self.materialize())
+        return self.shiftable
+
+    def inflate_horizontal(self, k: int) -> Layout:
+        return self._inflate(k, False, "horizontal")
+
+    def inflate_diagonal(self, k: int) -> Layout:
+        return self._inflate(k, True, "diagonal")
+
+    def _inflate(self, k: int, diagonal: bool, name: str) -> Layout:
+        _check_count(k, "copy count")
+        a = None if self.shiftable is not None else self.materialize()
+        if not (self.shiftable if a is None else is_shiftable(a)):
+            raise NotShiftableError(f"{name} inflation requires a shiftable array")
+        if k == 1:
+            return self
+        quantum = _half(self.size)
+        if a is None and k:
+            a = self.materialize()
+        row_step = self.rows if diagonal else 0
+        parts = tuple([(a, b * row_step, b * self.cols, b * quantum) for b in range(k)])
+        rows = self.rows * k if diagonal else self.rows
+        return Layout(rows, self.cols * k, self.size * k, True, parts)
+
+    def join_horizontal(self, b: Layout) -> Layout:
+        if self.size == 0 and self.cols == 0:
+            return b
+        if self.rows != b.rows:
+            raise JoinMismatchError(f"row counts differ: {self.rows} vs {b.rows}")
+        return self._join(b, 0, "horizontal", "the shared row count times its row degree")
+
+    def join_diagonal(self, b: Layout) -> Layout:
+        if self.size == 0 and self.rows == 0 and self.cols == 0:
+            return b
+        return self._join(b, b.rows, "diagonal", "its row count times the shared row degree")
+
+    def _join(self, b: Layout, row_off: int, name: str, parity: str) -> Layout:
+        """b's parts, then self's moved past b (down by row_off, right by
+        b.cols) and shifted past b's entry range; the flag is b's."""
+        if not self._is_shiftable():
+            raise NotShiftableError(f"{name} join requires a shiftable first operand")
+        if b.size % 2:
+            raise ParityError(f"fixed operand has {b.size} cells; {parity} must be even")
+        if b.size and self.size:
+            # a diagonal join (row_off = b.rows > 0) matches row degrees too
+            for line in ("row", "column") if row_off else ("column",):
+                if _degree(self, line) != _degree(b, line):
+                    raise JoinMismatchError(
+                        f"{line} degrees differ: {_degree(self, line)} vs {_degree(b, line)}"
+                    )
+        t = b.size // 2
+        moved = tuple([(a, i + row_off, j + b.cols, s + t) for a, i, j, s in self.parts])
+        return Layout(
+            self.rows + row_off, self.cols + b.cols, self.size + b.size,
+            b.shiftable, b.parts + moved,
+        )
+
+
+def _degree(a: Layout, line: str) -> int:
+    """Cells per row or per column of a uniformly filled operand."""
+    count = a.rows if line == "row" else a.cols
+    if count == 0:
+        return 0
+    if a.size % count:
+        raise JoinMismatchError(f"operand {line}s are not uniformly filled")
+    return a.size // count
+
+
 def shift(a: SignedArray, t: int) -> SignedArray:
     """Increase every entry's absolute value by t.
 
     Requires a shiftable operand: balanced sign counts are exactly what keeps
     every row and column sum at zero after the shift.
     """
-    if type(t) is not int or t < 0:
-        raise ValueError(f"shift amount must be a nonnegative integer, got {t!r}")
-    if not _shiftable(a):
+    _check_count(t, "shift amount")
+    if not Layout.of(a)._is_shiftable():
         raise NotShiftableError("refusing to shift a non-shiftable array")
     if t == 0:
         return a
-    return SignedArray._trusted(a.rows, a.cols, _place({}, a, t, 0, 0), True)
+    return Layout(a.rows, a.cols, len(a.cells), True, ((a, 0, 0, t),)).materialize()
 
 
 def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
@@ -78,17 +195,7 @@ def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:
     array; copy number b (0-based) is shifted by b times the quantum.  k = 0
     yields the empty m x 0 array.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError(f"copy count must be a nonnegative integer, got {k!r}")
-    if not _shiftable(a):
-        raise NotShiftableError("horizontal inflation requires a shiftable array")
-    if k == 1:
-        return a
-    quantum = support_half(a)
-    cells: dict[tuple[int, int], int] = {}
-    for b in range(k):
-        _place(cells, a, b * quantum, 0, b * a.cols)
-    return SignedArray._trusted(a.rows, a.cols * k, cells, True)
+    return Layout.of(a).inflate_horizontal(k).materialize()
 
 
 def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
@@ -97,33 +204,7 @@ def inflate_diagonal(a: SignedArray, k: int) -> SignedArray:
     Maps an (m, n; r, s) shiftable array to a (km, kn; r, s) shiftable array
     with empty off-diagonal blocks.  k = 0 yields the empty 0 x 0 array.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError(f"copy count must be a nonnegative integer, got {k!r}")
-    if not _shiftable(a):
-        raise NotShiftableError("diagonal inflation requires a shiftable array")
-    if k == 1:
-        return a
-    quantum = support_half(a)
-    cells: dict[tuple[int, int], int] = {}
-    for b in range(k):
-        _place(cells, a, b * quantum, b * a.rows, b * a.cols)
-    return SignedArray._trusted(a.rows * k, a.cols * k, cells, True)
-
-
-def _row_degree(a: SignedArray) -> int:
-    if a.rows == 0:
-        return 0
-    if len(a.cells) % a.rows:
-        raise JoinMismatchError("operand rows are not uniformly filled")
-    return len(a.cells) // a.rows
-
-
-def _col_degree(a: SignedArray) -> int:
-    if a.cols == 0:
-        return 0
-    if len(a.cells) % a.cols:
-        raise JoinMismatchError("operand columns are not uniformly filled")
-    return len(a.cells) // a.cols
+    return Layout.of(a).inflate_diagonal(k).materialize()
 
 
 def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
@@ -133,23 +214,7 @@ def join_horizontal(a: SignedArray, b: SignedArray) -> SignedArray:
     follows.  Requires equal row counts and column degrees, a shiftable, and
     an even cell count in b.  The result is shiftable iff b is.
     """
-    if a.is_empty and a.cols == 0:
-        return b
-    if a.rows != b.rows:
-        raise JoinMismatchError(f"row counts differ: {a.rows} vs {b.rows}")
-    if not _shiftable(a):
-        raise NotShiftableError("horizontal join requires a shiftable first operand")
-    if len(b.cells) % 2:
-        raise ParityError(
-            f"fixed operand has {len(b.cells)} cells; the shared row count times "
-            "its row degree must be even"
-        )
-    if not b.is_empty and not a.is_empty and _col_degree(a) != _col_degree(b):
-        raise JoinMismatchError(
-            f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
-        )
-    cells = _place(b.cells.copy(), a, support_half(b), 0, b.cols)
-    return SignedArray._trusted(a.rows, a.cols + b.cols, cells, b._shiftable)
+    return Layout.of(a).join_horizontal(Layout.of(b)).materialize()
 
 
 def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
@@ -160,23 +225,4 @@ def join_diagonal(a: SignedArray, b: SignedArray) -> SignedArray:
     and column degrees, a shiftable, and an even cell count in b.  The result
     is shiftable iff b is.
     """
-    if a.is_empty and a.rows == 0 and a.cols == 0:
-        return b
-    if not _shiftable(a):
-        raise NotShiftableError("diagonal join requires a shiftable first operand")
-    if len(b.cells) % 2:
-        raise ParityError(
-            f"fixed operand has {len(b.cells)} cells; its row count times the "
-            "shared row degree must be even"
-        )
-    if not b.is_empty and not a.is_empty:
-        if _row_degree(a) != _row_degree(b):
-            raise JoinMismatchError(
-                f"row degrees differ: {_row_degree(a)} vs {_row_degree(b)}"
-            )
-        if _col_degree(a) != _col_degree(b):
-            raise JoinMismatchError(
-                f"column degrees differ: {_col_degree(a)} vs {_col_degree(b)}"
-            )
-    cells = _place(b.cells.copy(), a, support_half(b), b.rows, b.cols)
-    return SignedArray._trusted(a.rows + b.rows, a.cols + b.cols, cells, b._shiftable)
+    return Layout.of(a).join_diagonal(Layout.of(b)).materialize()

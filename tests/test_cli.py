@@ -362,6 +362,25 @@ def test_full_disk_exits_1_with_one_line(argv, unbuffered):
     assert len(lines) == 1 and lines[0].startswith("cannot write output: "), lines
 
 
+def test_out_of_memory_exits_1_with_one_line():
+    """A search state sized by m = 10^12 cannot be allocated under a 2 GiB
+    address-space limit; main reports it in one line, not a traceback."""
+    resource = pytest.importorskip("resource")  # POSIX only
+    limit = 2 << 30
+
+    def cap_memory() -> None:  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "oracle", "1000000000000", "2", "--budget", "1"],
+        capture_output=True, preexec_fn=cap_memory, check=False,
+    )
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("out of memory"), lines
+    assert b"Traceback" not in done.stderr
+
+
 # negative budgets drawn as often as the others: they are the ones to reject
 _budget_flag = st.tuples(st.just("--budget"), st.one_of(st.integers(-3, -1), st.integers(0, 300)))
 _oracle_argv = st.tuples(

@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from smr import (
+    CompactBlock,
     InfeasibleError,
     JoinMismatchError,
     NotShiftableError,
@@ -16,11 +17,19 @@ from smr import (
     TraceStep,
     construct,
     feasibility,
+    five_column_block,
+    inflate_diagonal,
+    inflate_horizontal,
     is_shiftable,
+    join_diagonal,
+    join_horizontal,
     replay,
+    seed,
+    spread,
+    three_column_block,
     verify_smr,
 )
-from smr.dispatch import _apply
+from smr.dispatch import _OPS, _apply
 
 from goldens import (
     GRID_2x11_CONSTRUCTED,
@@ -173,7 +182,8 @@ def test_every_sweep_trace_pinned():
 
 def test_sweep_outputs_validate_and_flags_hold():
     # construct skips validation on its intermediates and carries their
-    # shiftability, so recheck both everywhere on the sweep grid
+    # shiftability, so recheck both everywhere on the sweep grid; each
+    # intermediate layout is materialized to be checked
     for m in range(2, 41):
         for r in range(3, 41):
             n = r if m == 2 else (m * r) // 2
@@ -185,7 +195,7 @@ def test_sweep_outputs_validate_and_flags_hold():
             for st in trace.steps:
                 _apply(st, stack)
                 top = stack[-1]
-                array = top if isinstance(top, SignedArray) else top.array
+                array = top.array if isinstance(top, CompactBlock) else top.materialize()
                 assert array == SignedArray(array.rows, array.cols, dict(array.cells))
                 if array._shiftable is not None:
                     assert array._shiftable == is_shiftable(array), (m, r, str(st))
@@ -196,6 +206,88 @@ def _st(op: str, **args: object) -> TraceStep:
 
 
 S_2x4 = _st("seed", id="S_2x4")
+
+_PUBLIC_OPS = {
+    "seed": lambda seed_id: seed(seed_id)[0],
+    "inflate_horizontal": inflate_horizontal,
+    "inflate_diagonal": inflate_diagonal,
+    "join_horizontal": join_horizontal,
+    "join_diagonal": join_diagonal,
+    "three_column_block": three_column_block,
+    "five_column_block": five_column_block,
+    "spread": spread,
+}
+
+
+def _chain(trace: RouteTrace) -> SignedArray:
+    """Run a trace one public operator at a time, each output materialized."""
+    stack: list = []
+    for st in trace.steps:
+        pops = len(_OPS[st.op][1])  # the step's operand count
+        operands = stack[len(stack) - pops :]
+        del stack[len(stack) - pops :]
+        stack.append(_PUBLIC_OPS[st.op](*operands, *dict(st.args).values()))
+    (a,) = stack
+    return a
+
+
+def _assert_replay_is_chain(trace: RouteTrace) -> SignedArray:
+    lazy, chain = replay(trace), _chain(trace)
+    assert (lazy.rows, lazy.cols) == (chain.rows, chain.cols), str(trace)
+    assert list(lazy.cells.items()) == list(chain.cells.items()), str(trace)
+    assert lazy._shiftable is chain._shiftable, str(trace)
+    return lazy
+
+
+def test_replay_equals_operator_chain_on_sweep_grid():
+    # cells in insertion order, shape and recorded flag, at every feasible
+    # point; the digest pins them as the array-per-step operators made them
+    digest = hashlib.sha256()
+    for m in range(2, 41):
+        for r in range(3, 41):
+            n = r if m == 2 else (m * r) // 2
+            if feasibility(m, n, r).feasible:
+                a = _assert_replay_is_chain(construct(m, n, r)[1])
+                line = f"{m},{r} {a.rows}x{a.cols} {a._shiftable} {list(a.cells.items())}\n"
+                digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "ecf6d8a2b2d8c517c54255f1e7ccd744a5b6107df6e0f24e311ffbabcb0e530a"
+    )
+
+
+@pytest.mark.parametrize(
+    "m,r",
+    [(2, 8), (2, 7), (4, 3), (4, 5), (4, 8), (4, 6), (6, 6), (4, 9), (6, 9), (4, 7),
+     (3, 4), (5, 4), (3, 6), (5, 6)],
+)
+def test_replay_equals_operator_chain_per_route_rule(m, r):
+    # rules 1-10 in order, at their smallest row counts
+    n = r if m == 2 else (m * r) // 2
+    _assert_replay_is_chain(construct(m, n, r)[1])
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # joins with an empty operand, on either side
+        [S_2x4, S_2x4, _st("inflate_horizontal", k=0), _st("join_horizontal")],
+        [S_2x4, _st("inflate_horizontal", k=0), _st("seed", id="S_2x3"), _st("join_horizontal")],
+        [S_2x4, S_2x4, _st("inflate_diagonal", k=0), _st("join_diagonal")],
+        [S_2x4, _st("inflate_diagonal", k=0), _st("seed", id="S_3x6"), _st("join_diagonal")],
+        # an empty shiftable operand that still adds rows
+        [S_2x4, _st("inflate_horizontal", k=0), S_2x4, _st("join_diagonal")],
+        # an operand whose flag is unknown until it is computed
+        [S_2x4, S_2x4, _st("join_horizontal"), _st("inflate_horizontal", k=2)],
+        [S_2x4, S_2x4, _st("join_horizontal"), _st("inflate_diagonal", k=1)],
+        # joins of joins and inflations of inflations
+        [S_2x4, _st("inflate_diagonal", k=2), _st("inflate_horizontal", k=3),
+         S_2x4, _st("inflate_diagonal", k=2), _st("join_horizontal"),
+         _st("seed", id="S_3x6"), _st("inflate_horizontal", k=2),
+         _st("inflate_horizontal", k=2), _st("join_diagonal")],
+    ],
+)
+def test_replay_equals_operator_chain_on_edge_traces(steps):
+    _assert_replay_is_chain(RouteTrace(tuple(steps)))
 
 
 @pytest.mark.parametrize(
@@ -232,6 +324,27 @@ S_2x4 = _st("seed", id="S_2x4")
         ([S_2x4, _st("inflate_diagonal", k=True)], ValueError, r"step 2 .*bad argument k=True"),
         ([_st("three_column_block", m=4.0)], ValueError, r"step 1 .*bad argument m=4\.0"),
         ([_st("seed", id=7)], ValueError, r"step 1 \(seed id=7\): bad argument id=7"),
+        # the operand of these steps is a layout not yet written
+        (
+            [S_2x4, _st("inflate_horizontal", k=2), _st("spread")],
+            ValueError,
+            r"step 3 .*expects CompactBlock, found SignedArray",
+        ),
+        (
+            [S_2x4, _st("seed", id="S_2x3"), _st("join_horizontal"), _st("inflate_horizontal", k=2)],
+            NotShiftableError,
+            r"step 4 .*horizontal inflation requires a shiftable array",
+        ),
+        (
+            [S_2x4, _st("inflate_diagonal", k=2), _st("seed", id="S_3x9"), _st("join_diagonal")],
+            JoinMismatchError,
+            r"step 4 .*row degrees differ: 4 vs 6",
+        ),
+        (
+            [_st("three_column_block", m=4), _st("inflate_horizontal", k=2)],
+            ValueError,
+            r"step 2 .*expects SignedArray, found CompactBlock",
+        ),
     ],
 )
 def test_replay_rejects_bad_traces(steps, error, message):
