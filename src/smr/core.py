@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import Iterable, Mapping
 
 
 class DimensionError(ValueError):
@@ -119,35 +119,25 @@ class SignedArray:
     rows: int
     cols: int
     cells: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    # Shiftability known by construction, recorded by ``_trusted``; None when
-    # unknown.  Not a field: it takes no part in equality, repr or __init__.
-    _shiftable: ClassVar[bool | None] = None
 
     def __post_init__(self) -> None:
         cells = _checked(self.rows, self.cols, self.cells.items())
         object.__setattr__(self, "cells", MappingProxyType(cells))
 
     @classmethod
-    def _trusted(
-        cls,
-        rows: int,
-        cols: int,
-        cells: dict[tuple[int, int], int],
-        shiftable: bool | None = None,
-    ) -> SignedArray:
+    def _trusted(cls, rows: int, cols: int, cells: dict[tuple[int, int], int]) -> SignedArray:
         """Wrap ``cells`` unchecked; the dict is taken, not copied, and the
         caller must not write to it again.  Only for the dicts ``_checked``
         returns, for direct blocks and for materialized transform layouts,
         which place cells of checked (or themselves trusted) leaves at
         ``int`` offsets inside their own ``rows`` x ``cols``, so every check
-        would pass.  ``shiftable`` records a shiftability known by construction.
+        would pass a second time.  The array is a plain value: how it was
+        built, shiftability included, is not recorded on it.
         """
         a = object.__new__(cls)
         object.__setattr__(a, "rows", rows)
         object.__setattr__(a, "cols", cols)
         object.__setattr__(a, "cells", MappingProxyType(cells))
-        if shiftable is not None:
-            object.__setattr__(a, "_shiftable", shiftable)
         return a
 
     @classmethod

@@ -11,12 +11,15 @@ The five-column block is degenerate in exactly two rows when the row count
 is 2 mod 4; an entry swap between two row pairs in the outer columns repairs
 it.  There is no five-column construction at m = 2.
 
-Blocks and spread outputs are built with ``SignedArray._trusted``: their
-cells lie inside their own shape by construction.  ``CompactBlock`` checks
-the block invariants that spreading relies on, once: its array is a
-``SignedArray``, which cannot change afterwards.  A spread output is a leaf
-of the layouts that ``dispatch.replay`` composes: a join takes it as one
-part and copies no cell of it until the final array is materialized.
+Blocks and spread outputs are built with ``SignedArray._trusted``, the
+unchecked door that skips only the cell checks: their cells lie inside
+their own shape by construction.  ``CompactBlock`` checks the block
+invariants that spreading relies on, once: its array is a ``SignedArray``,
+which cannot change afterwards.  A spread output is a leaf of the layouts
+that ``dispatch.replay`` composes: a join takes it as one part and copies
+no cell of it until the final array is materialized.  As a leaf it is not
+known shiftable (its rows hold an odd number of cells, so it is not), and
+neither is a join that takes it as the fixed operand.
 """
 
 from __future__ import annotations

@@ -131,8 +131,8 @@ def replay(trace: RouteTrace) -> SignedArray:
     one of the wrong kind, or a failed precondition of the operator (raised
     as the operator's own ValueError subclass).  Operands left over at the
     end raise ValueError too.  Array operands stay layouts until the end,
-    and the result equals that of the public operators applied one by one:
-    the same cells in the same order, and the same recorded shiftability.
+    and the result equals that of the public operators applied one by one,
+    with the same cells in the same order.
     """
     stack: list[Layout | CompactBlock] = []
     for number, st in enumerate(trace.steps, start=1):

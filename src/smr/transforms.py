@@ -17,10 +17,13 @@ so a chain of operators writes each output cell once, when
 ``Layout.materialize`` builds the array.  That array is made with
 ``SignedArray._trusted``: its cells are leaf cells at ``int`` offsets
 inside its own shape, so the full validation would only repeat what the
-leaves already passed.  Inflation and shift results record that they are
-shiftable, and join results carry the fixed operand's recorded flag, so that
-the shiftability preconditions of later steps need not rescan them.  The
-public functions wrap one operator each: layout in, materialized array out.
+leaves already passed.  Shiftability known by construction lives in the
+layout, not in the array: inflation and shift layouts are known shiftable,
+and a join takes the fixed operand's flag, so that the preconditions of
+later steps in one chain need not rescan them.  The public functions wrap
+one operator each: layout in, materialized array out, so a public operator
+that receives the output of an earlier one scans it again when its
+precondition asks.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def _check_count(k: object, what: str) -> None:
 class Layout:
     """An array not yet written: ``rows`` x ``cols`` holding ``size`` cells,
     the union of ``parts``, each a (leaf, row offset, column offset, shift).
-    ``shiftable`` is the flag its array will record (None when unknown).
+    ``shiftable`` is True when the layout is known shiftable by
+    construction and False when that is not known.
 
     A value: no operator changes a layout, each returns a new one.  A slots
     class, not a named tuple or a dataclass, whose class construction would
@@ -78,7 +82,7 @@ class Layout:
 
     __slots__ = ("rows", "cols", "size", "shiftable", "parts")
 
-    def __init__(self, rows: int, cols: int, size: int, shiftable: bool | None, parts: tuple):
+    def __init__(self, rows: int, cols: int, size: int, shiftable: bool, parts: tuple):
         self.rows = rows
         self.cols = cols
         self.size = size
@@ -87,27 +91,21 @@ class Layout:
 
     @classmethod
     def of(cls, a: SignedArray) -> Layout:
-        return cls(a.rows, a.cols, len(a.cells), a._shiftable, ((a, 0, 0, 0),))
+        return cls(a.rows, a.cols, len(a.cells), False, ((a, 0, 0, 0),))
 
     def materialize(self) -> SignedArray:
         """Write every part's cells, in part order, into one array."""
         if len(self.parts) == 1:  # the leaf itself, when it is all of the array
             a, row_off, col_off, t = self.parts[0]
             if not (row_off or col_off or t) and a.rows == self.rows and a.cols == self.cols:
-                if a._shiftable is self.shiftable:
-                    return a
+                return a
         cells: dict[tuple[int, int], int] = {}
         for a, row_off, col_off, t in self.parts:
             if cells or row_off or col_off or t:
                 _place(cells, a, t, row_off, col_off)
             else:  # a leading part that moves nothing: one C-level dict copy
                 cells = a.cells.copy()
-        return SignedArray._trusted(self.rows, self.cols, cells, self.shiftable)
-
-    def _is_shiftable(self) -> bool:
-        if self.shiftable is None:
-            return is_shiftable(self.materialize())
-        return self.shiftable
+        return SignedArray._trusted(self.rows, self.cols, cells)
 
     def inflate_horizontal(self, k: int) -> Layout:
         return self._inflate(k, False, "horizontal")
@@ -117,8 +115,8 @@ class Layout:
 
     def _inflate(self, k: int, diagonal: bool, name: str) -> Layout:
         _check_count(k, "copy count")
-        a = None if self.shiftable is not None else self.materialize()
-        if not (self.shiftable if a is None else is_shiftable(a)):
+        a = None if self.shiftable else self.materialize()
+        if not (self.shiftable or is_shiftable(a)):
             raise NotShiftableError(f"{name} inflation requires a shiftable array")
         if k == 1:
             return self
@@ -131,10 +129,10 @@ class Layout:
         return Layout(rows, self.cols * k, self.size * k, True, parts)
 
     def join_horizontal(self, b: Layout) -> Layout:
-        if self.size == 0 and self.cols == 0:
-            return b
         if self.rows != b.rows:
             raise JoinMismatchError(f"row counts differ: {self.rows} vs {b.rows}")
+        if self.size == 0 and self.cols == 0:
+            return b
         return self._join(b, 0, "horizontal", "the shared row count times its row degree")
 
     def join_diagonal(self, b: Layout) -> Layout:
@@ -145,7 +143,7 @@ class Layout:
     def _join(self, b: Layout, row_off: int, name: str, parity: str) -> Layout:
         """b's parts, then self's moved past b (down by row_off, right by
         b.cols) and shifted past b's entry range; the flag is b's."""
-        if not self._is_shiftable():
+        if not (self.shiftable or is_shiftable(self.materialize())):
             raise NotShiftableError(f"{name} join requires a shiftable first operand")
         if b.size % 2:
             raise ParityError(f"fixed operand has {b.size} cells; {parity} must be even")
@@ -181,7 +179,7 @@ def shift(a: SignedArray, t: int) -> SignedArray:
     every row and column sum at zero after the shift.
     """
     _check_count(t, "shift amount")
-    if not Layout.of(a)._is_shiftable():
+    if not is_shiftable(a):
         raise NotShiftableError("refusing to shift a non-shiftable array")
     if t == 0:
         return a

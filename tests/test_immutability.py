@@ -21,7 +21,6 @@ from smr import (
     from_json,
     inflate_diagonal,
     inflate_horizontal,
-    is_shiftable,
     join_diagonal,
     join_horizontal,
     seed,
@@ -79,15 +78,6 @@ def test_seed_survives_attempted_write():
     assert again == SignedArray.from_dense([[1, -2, -3, 4], [-1, 2, 3, -4]])
     assert verify_smr(again, q).ok
     assert verify_smr(construct(2, 8, 8)[0], Params(2, 8, 8, 2)).ok
-
-
-def test_recorded_shiftability_cannot_go_stale():
-    # a write that would unbalance the signs of a row is refused, so the
-    # shiftability recorded by construction stays true
-    d = inflate_diagonal(seed("S_2x4")[0], 2)
-    with pytest.raises(TypeError):
-        d.cells[1, 1] = -d.cells[1, 1]
-    assert d._shiftable is True and is_shiftable(d)
 
 
 def test_input_dict_is_copied():

@@ -23,6 +23,7 @@ from smr import (
     support_half,
     verify_smr,
 )
+from smr.transforms import Layout
 
 from goldens import (
     GRID_2x11_CONSTRUCTED,
@@ -220,6 +221,9 @@ def test_join_horizontal_row_count_mismatch():
     b, _ = seed("S_3x6")
     with pytest.raises(JoinMismatchError):
         join_horizontal(a, b)
+    # an empty 3x0 operand still has three rows
+    with pytest.raises(JoinMismatchError, match="row counts differ: 3 vs 2"):
+        join_horizontal(inflate_horizontal(b, 0), a)
 
 
 def test_join_horizontal_rejects_non_shiftable_left():
@@ -275,10 +279,11 @@ def test_join_shiftability_follows_fixed_operand():
     assert not is_shiftable(join_horizontal(shiftable_a, non_shiftable_b))
     shiftable_b, _ = seed("S_2x4")
     assert is_shiftable(join_horizontal(shiftable_a, shiftable_b))
-    # the recorded flag is b's: unknown for a seed, True for an inflation
-    assert join_horizontal(shiftable_a, non_shiftable_b)._shiftable is None
-    flagged_b = inflate_diagonal(shiftable_b, 2)
-    assert join_diagonal(inflate_diagonal(shiftable_b, 3), flagged_b)._shiftable is True
+    # the layout's flag is b's: not known for a seed, True for an inflation
+    joined = Layout.of(shiftable_a).join_horizontal(Layout.of(non_shiftable_b))
+    assert joined.shiftable is False
+    flagged_b = Layout.of(shiftable_b).inflate_diagonal(2)
+    assert Layout.of(shiftable_b).inflate_diagonal(3).join_diagonal(flagged_b).shiftable is True
 
 
 @settings(max_examples=60)
