@@ -46,7 +46,6 @@ from .transforms import (
     join_diagonal,
     join_horizontal,
     shift,
-    support_half,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +91,6 @@ __all__ = [
     "seed",
     "shift",
     "spread",
-    "support_half",
     "support_set",
     "three_column_block",
     "to_csv",

@@ -17,17 +17,38 @@ rejected, as are floats such as ``1.0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class DimensionError(ValueError):
     """Array shape does not match the parameter set it is checked against."""
 
 
-@dataclass(frozen=True)
-class Params:
+def _check_ints(**values: object) -> None:
+    """Raise ValueError for a value that is not an exact ``int``."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an int, got {v!r}")
+
+
+class _Checked:
+    """Base of a ``namedtuple`` subclass that checks its fields in ``__new__``,
+    which a ``typing.NamedTuple`` body may not define.  Every other way to a
+    copy calls the class: ``_make``, so ``_replace``, and ``copy`` and ``pickle``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> _Checked:
+        return cls(*fields)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+class Params(_Checked, namedtuple("Params", "m n r s")):
     """The parameter quadruple (m, n, r, s).
 
     m, n are the row and column counts; r and s are the filled-cell counts
@@ -35,28 +56,22 @@ class Params:
     s <= m.
     """
 
-    m: int
-    n: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "r", "s"):
-            v = getattr(self, name)
+    def __new__(cls, m: int, n: int, r: int, s: int) -> Params:
+        for name, v in zip(cls._fields, (m, n, r, s)):
             if type(v) is not int or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.m * self.r != self.n * self.s:
-            raise ValueError(
-                f"cell-count mismatch: m*r = {self.m * self.r} but n*s = {self.n * self.s}"
-            )
-        if self.r > self.n:
-            raise ValueError(f"r = {self.r} exceeds column count n = {self.n}")
-        if self.s > self.m:
-            raise ValueError(f"s = {self.s} exceeds row count m = {self.m}")
+        if m * r != n * s:
+            raise ValueError(f"cell-count mismatch: m*r = {m * r} but n*s = {n * s}")
+        if r > n:
+            raise ValueError(f"r = {r} exceeds column count n = {n}")
+        if s > m:
+            raise ValueError(f"s = {s} exceeds row count m = {m}")
+        return super().__new__(cls, m, n, r, s)
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     """The exact multiset of entries a valid array must use.
 
     ``half`` is mr/2 in the even case and (ms-1)/2 in the odd case; the odd
@@ -106,8 +121,7 @@ def _checked(rows: int, cols: int, items: Iterable) -> dict[tuple[int, int], int
     return cells
 
 
-@dataclass(frozen=True)
-class SignedArray:
+class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
     """Sparse m x n grid of signed integer entries, 1-based indices.
 
     ``cells`` is a read-only map from (row, col) to the entry.  Entries are
@@ -116,13 +130,10 @@ class SignedArray:
     parameter sets.
     """
 
-    rows: int
-    cols: int
-    cells: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cells = _checked(self.rows, self.cols, self.cells.items())
-        object.__setattr__(self, "cells", MappingProxyType(cells))
+    def __new__(cls, rows: int, cols: int, cells: Mapping = MappingProxyType({})) -> SignedArray:
+        return cls._trusted(rows, cols, _checked(rows, cols, cells.items()))
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, cells: dict[tuple[int, int], int]) -> SignedArray:
@@ -134,11 +145,7 @@ class SignedArray:
         would pass a second time.  The array is a plain value: how it was
         built, shiftability included, is not recorded on it.
         """
-        a = object.__new__(cls)
-        object.__setattr__(a, "rows", rows)
-        object.__setattr__(a, "cols", cols)
-        object.__setattr__(a, "cells", MappingProxyType(cells))
-        return a
+        return tuple.__new__(cls, (rows, cols, MappingProxyType(cells)))
 
     @classmethod
     def from_cells(
@@ -161,16 +168,12 @@ class SignedArray:
         )
         return cls._trusted(len(rows), cols, _checked(len(rows), cols, pairs))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.cells
-
     def __reduce__(self) -> tuple[type[SignedArray], tuple[int, int, dict]]:
         # a mappingproxy cannot be pickled; rebuild through the checks
         return type(self), (self.rows, self.cols, self.cells.copy())
 
     def __hash__(self) -> int:
-        # the generated one would hash the cells view, which has no hash;
+        # the tuple hash would hash the cells view, which has no hash;
         # equal arrays have equal cells, so they hash alike
         return hash((self.rows, self.cols, frozenset(self.cells.items())))
 
@@ -192,8 +195,7 @@ def is_shiftable(a: SignedArray) -> bool:
     return all(b == 0 for b in row_bal) and all(b == 0 for b in col_bal)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom; ``index`` is the offending row or column, when any."""
 
     axiom: str
@@ -205,8 +207,7 @@ class Violation:
         return f"{self.axiom}{where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -289,7 +290,8 @@ def _multiset_diff(left: tuple[int, ...], right: tuple[int, ...]) -> list[int]:
     return sorted(delta.elements())
 
 
-def _preview(values: list[int], limit: int = 8) -> str:
+def _preview(values: list[int]) -> str:
+    limit = 8  # values listed before "... (k more)"
     if not values:
         return "nothing"
     shown = ", ".join(str(v) for v in values[:limit])

@@ -24,36 +24,35 @@ neither is a join that takes it as the fixed operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Literal
 
-from .core import SignedArray, SupportSet, entry_multiset
+from .core import SignedArray, SupportSet, _Checked, entry_multiset
 
 
 class BlockError(ValueError):
     """Compact block violates its construction invariants."""
 
 
-@dataclass(frozen=True)
-class CompactBlock:
+class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
     """A zero-row-sum block ready to be spread to full width."""
 
-    array: SignedArray
-    kind: Literal["three", "five", "five_repaired"]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a = self.array
-        if not isinstance(a, SignedArray):
-            raise TypeError(f"block array must be a SignedArray, got {type(a).__name__}")
-        width = a.cols
-        m = a.rows
+    def __new__(
+        cls, array: SignedArray, kind: Literal["three", "five", "five_repaired"]
+    ) -> CompactBlock:
+        if not isinstance(array, SignedArray):
+            raise TypeError(f"block array must be a SignedArray, got {type(array).__name__}")
+        width = array.cols
+        m = array.rows
         half = (width * m) // 2
-        if entry_multiset(a) != SupportSet(half, includes_zero=False).sorted_values():
+        if entry_multiset(array) != SupportSet(half, includes_zero=False).sorted_values():
             raise BlockError(f"block entries are not exactly +-1..+-{half}")
         counts = [0] * (m + 1)
         sums = [0] * (m + 1)
         row_magnitudes: list[set[int]] = [set() for _ in range(m + 1)]
-        for (i, _), e in a.cells.items():
+        for (i, _), e in array.cells.items():
             counts[i] += 1
             sums[i] += e
             if abs(e) in row_magnitudes[i]:
@@ -64,6 +63,7 @@ class CompactBlock:
                 raise BlockError(f"row {i} is not fully filled")
             if sums[i] != 0:
                 raise BlockError(f"row {i} sums to {sums[i]}")
+        return super().__new__(cls, array, kind)
 
 
 def three_column_block(m: int) -> CompactBlock:

@@ -14,16 +14,14 @@ and the array is written once, when the last step's layout is materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .core import SignedArray
+from .core import SignedArray, _check_ints
 from .direct import CompactBlock, five_column_block, spread, three_column_block
 from .seeds import seed
 from .transforms import Layout
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     feasible: bool
     reason: str
 
@@ -46,8 +44,11 @@ def feasibility(m: int, n: int, r: int) -> Verdict:
     (or nonpositive n, r) reports FAIL_SMALL; at m = 2 a count mismatch n != r
     reports FAIL_ARITH and a bad residue FAIL_M2_RESIDUE; for m >= 3, two odd
     degrees report FAIL_PARITY ahead of the count identity FAIL_ARITH, and a
-    row degree below 3 reports FAIL_SMALL.
+    row degree below 3 reports FAIL_SMALL.  An m, n or r that is not an
+    exact ``int`` (``bool`` included) raises ValueError.
     """
+    if not type(m) is type(n) is type(r) is int:  # one test on the fast path
+        _check_ints(m=m, n=n, r=r)
     if m < 2 or n < 1 or r < 1:
         return Verdict(False, "FAIL_SMALL")
     if m == 2:
@@ -65,8 +66,7 @@ def feasibility(m: int, n: int, r: int) -> Verdict:
     return Verdict(True, "OK_GENERAL")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     op: str
     args: tuple[tuple[str, object], ...] = ()
 
@@ -75,8 +75,7 @@ class TraceStep:
         return f"{self.op} {rendered}".rstrip()
 
 
-@dataclass(frozen=True)
-class RouteTrace:
+class RouteTrace(NamedTuple):
     """Ordered operator sequence; replaying it reproduces the array exactly.
 
     Steps form a postfix program over a stack: seed and block steps push,

@@ -48,10 +48,9 @@ overrun is reported as a cutoff, not as a decision.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .core import Params, SignedArray, verify_smr
+from .core import Params, SignedArray, _check_ints, verify_smr
 from .dispatch import Verdict, feasibility
 
 DEFAULT_BUDGET = 10**8
@@ -67,12 +66,20 @@ class SearchStats(NamedTuple):
     pruned: int = 0  # candidates rejected by the viability check
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "exists" | "not_exists" | "cutoff"
     witness: SignedArray | None
     nodes: int
-    stats: SearchStats = field(default=SearchStats(), compare=False)
+    stats: SearchStats = SearchStats()  # left out of ==, != and hash
+
+    def __eq__(self, other: object) -> bool:
+        return self[:3] == other[:3] if type(other) is SearchOutcome else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
 
 def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
@@ -80,9 +87,10 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     An odd m*r leaves no valid support set, so the answer is immediate.
     Values are assigned largest first; large values constrain row sums the
-    most, so the reachability bound prunes early.  ``budget`` must be an
-    ``int`` >= 0; a search past node ``budget`` is a cutoff.
+    most, so the reachability bound prunes early.  ``m``, ``r`` and ``budget``
+    must be ``int``s, ``budget`` >= 0; a search past node ``budget`` is a cutoff.
     """
+    _check_ints(m=m, r=r)
     if type(budget) is not int or budget < 0:
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     if m < 1 or r < 1 or (m * r) % 2:
@@ -254,16 +262,14 @@ def _pack64(codes: list[int]) -> bytes:
     return array("q", codes).tobytes()
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     m: int
     r: int
     search_status: str
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     checked: int
     disagreements: tuple[Disagreement, ...]
     cutoffs: tuple[tuple[int, int], ...]

@@ -49,11 +49,6 @@ def _half(size: int) -> int:
     return size // 2
 
 
-def support_half(a: SignedArray) -> int:
-    """Half the cell count: the shift quantum used by inflations and joins."""
-    return _half(len(a.cells))
-
-
 def _place(
     cells: dict[tuple[int, int], int], a: SignedArray, t: int, row_off: int, col_off: int
 ) -> dict[tuple[int, int], int]:
@@ -76,8 +71,7 @@ class Layout:
     construction and False when that is not known.
 
     A value: no operator changes a layout, each returns a new one.  A slots
-    class, not a named tuple or a dataclass, whose class construction would
-    add to the start-up time of every ``smr`` process.
+    class, not a named tuple: nothing compares, hashes or pickles a layout.
     """
 
     __slots__ = ("rows", "cols", "size", "shiftable", "parts")

@@ -317,6 +317,17 @@ def test_output_bytes_identical_across_runs(argv):
     assert first.stderr == second.stderr == (_TRACE_7_14_4 if "--trace" in argv else b"")
 
 
+def test_import_loads_no_dataclasses():
+    """Every record is a named tuple, so no smr process imports dataclasses."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import smr, smr.cli, sys; assert 'dataclasses' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 def test_gen_trace_follows_the_array_in_a_merged_stream():
     """2>&1 gives the array, then the trace, as when both went to stdout."""
     done = subprocess.run(

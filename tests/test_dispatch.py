@@ -16,6 +16,7 @@ from smr import (
     SignedArray,
     TraceStep,
     construct,
+    decide,
     feasibility,
     five_column_block,
     inflate_diagonal,
@@ -66,6 +67,24 @@ from goldens import (
 def test_feasibility_verdicts(m, n, r, feasible, reason):
     v = feasibility(m, n, r)
     assert (v.feasible, v.reason) == (feasible, reason)
+
+
+@pytest.mark.parametrize(
+    "fn, args, bad",
+    [
+        (feasibility, (3.0, 6, 4), "m must be an int, got 3.0"),
+        (feasibility, (3, 6.0, 4), "n must be an int, got 6.0"),
+        (feasibility, (3, 6, True), "r must be an int, got True"),
+        (construct, (2.0, 4, 4), "m must be an int, got 2.0"),
+        (construct, (4, 10, 5.0), "r must be an int, got 5.0"),
+        (decide, (3.0, 4), "m must be an int, got 3.0"),
+        (decide, (2, False), "r must be an int, got False"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_parameters_must_be_exact_ints(fn, args, bad):
+    with pytest.raises(ValueError, match=f"^{bad}$"):
+        fn(*args)
 
 
 def test_verdict_rendering():

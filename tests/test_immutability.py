@@ -10,6 +10,7 @@ from types import MappingProxyType
 import pytest
 
 from smr import (
+    BlockError,
     CompactBlock,
     Params,
     SignedArray,
@@ -156,3 +157,52 @@ def test_blocks_and_search_outcomes_hash():
     assert outcome.witness is not None
     assert hash(outcome) == hash(decide(2, 4))
     assert len({outcome, decide(2, 4)}) == 1
+
+
+def _bad_copies():
+    """name: (value, field index, bad field value, exception).  A copy of the
+    value with that field changed must fail the value's own check."""
+    a = SignedArray(1, 2, {(1, 1): 1, (1, 2): -1})
+    return {
+        "Params": (Params(2, 4, 4, 2), 0, 0, ValueError),
+        "SignedArray": (a, 1, 1, ValueError),
+        "CompactBlock": (three_column_block(4), 0, a, BlockError),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_copies()))
+def test_one_checked_door_per_value_class(name):
+    value, index, bad, error = _bad_copies()[name]
+    field = value._fields[index]
+    with pytest.raises(AttributeError):
+        setattr(value, field, bad)
+    with pytest.raises(AttributeError):
+        value.other = 1
+    for copied in (copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and type(copied) is type(value)
+    with pytest.raises(error):
+        value._replace(**{field: bad})
+    fields = list(value)
+    fields[index] = bad
+    with pytest.raises(error):
+        type(value)._make(fields)
+    # copy and pickle rebuild a value by calling the class on its fields and
+    # set no state after, at every protocol: the class is the one door
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+        rebuild, args, *state = value.__reduce_ex__(protocol)
+        assert rebuild is type(value) and not any(state)
+        args = list(args)
+        args[index] = bad
+        with pytest.raises(error):
+            rebuild(*args)
+
+
+def test_search_outcomes_ignore_stats():
+    outcome = decide(2, 4)
+    other = outcome._replace(stats=outcome.stats._replace(pruned=outcome.stats.pruned + 1))
+    assert other.stats != outcome.stats
+    assert outcome == other and not outcome != other
+    assert hash(outcome) == hash(other)
+    moved = outcome._replace(nodes=outcome.nodes + 1)
+    assert outcome != moved and not outcome == moved
