@@ -17,9 +17,10 @@ their own shape by construction.  ``CompactBlock`` checks the block
 invariants that spreading relies on, once: its array is a ``SignedArray``,
 which cannot change afterwards.  A spread output is a leaf of the layouts
 that ``dispatch.replay`` composes: a join takes it as one part and copies
-no cell of it until the final array is materialized.  As a leaf it is not
-known shiftable (its rows hold an odd number of cells, so it is not), and
-neither is a join that takes it as the fixed operand.
+no cell of it until the final array is materialized.  Its layout is made
+with no flag, so it is not known shiftable (its rows hold an odd number of
+cells, so it is not), and neither is a join that takes it as the fixed
+operand; of the leaves, only a seed's layout carries its scanned flag.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Literal
 
-from .core import SignedArray, SupportSet, _Checked, entry_multiset
+from .core import SignedArray, SupportSet, _Checked, _is_support, entry_multiset
 
 
 class BlockError(ValueError):
@@ -44,25 +45,34 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
     ) -> CompactBlock:
         if not isinstance(array, SignedArray):
             raise TypeError(f"block array must be a SignedArray, got {type(array).__name__}")
-        width = array.cols
-        m = array.rows
-        half = (width * m) // 2
-        if entry_multiset(array) != SupportSet(half, includes_zero=False).sorted_values():
-            raise BlockError(f"block entries are not exactly +-1..+-{half}")
+        m, width = array.rows, array.cols
+        if kind not in {3: ("three",), 5: ("five", "five_repaired")}.get(width, ()):
+            raise BlockError(f"a block of width {width} cannot be of kind {kind!r}")
+        cells = array.cells
         counts = [0] * (m + 1)
         sums = [0] * (m + 1)
-        row_magnitudes: list[set[int]] = [set() for _ in range(m + 1)]
-        for (i, _), e in array.cells.items():
+        for (i, _), e in cells.items():
             counts[i] += 1
             sums[i] += e
-            if abs(e) in row_magnitudes[i]:
-                raise BlockError(f"row {i} contains an entry and its negation")
-            row_magnitudes[i].add(abs(e))
-        for i in range(1, m + 1):
-            if counts[i] != width:
-                raise BlockError(f"row {i} is not fully filled")
-            if sums[i] != 0:
-                raise BlockError(f"row {i} sums to {sums[i]}")
+        support = SupportSet((width * m) // 2, includes_zero=False)
+        if not (  # the passing case, by whole-list builtins; a +-k row repeats a pair
+            _is_support(cells.values(), support)
+            and len({(i, abs(e)) for (i, _), e in cells.items()}) == len(cells)
+            and counts.count(width) == m
+            and sums.count(0) == m + 1
+        ):  # find the first defect, in the order the message names it
+            if entry_multiset(array) != support.sorted_values():
+                raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
+            seen: set[tuple[int, int]] = set()
+            for (i, _), e in cells.items():
+                if (i, abs(e)) in seen:
+                    raise BlockError(f"row {i} contains an entry and its negation")
+                seen.add((i, abs(e)))
+            for i in range(1, m + 1):
+                if counts[i] != width:
+                    raise BlockError(f"row {i} is not fully filled")
+                if sums[i] != 0:
+                    raise BlockError(f"row {i} sums to {sums[i]}")
         return super().__new__(cls, array, kind)
 
 

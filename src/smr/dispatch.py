@@ -14,9 +14,10 @@ and the array is written once, when the last step's layout is materialized.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, NamedTuple
 
-from .core import SignedArray, _check_ints
+from .core import SignedArray, _check_ints, is_shiftable
 from .direct import CompactBlock, five_column_block, spread, three_column_block
 from .seeds import seed
 from .transforms import Layout
@@ -93,8 +94,10 @@ def _step(op: str, **kwargs: object) -> TraceStep:
     return TraceStep(op, tuple(sorted(kwargs.items())))
 
 
+@cache  # the catalog is fixed and a layout immutable: one flag scan per seed
 def _seed_layout(seed_id: str) -> Layout:
-    return Layout.of(seed(seed_id)[0])
+    a = seed(seed_id)[0]
+    return Layout.of(a, is_shiftable(a))
 
 
 def _spread_layout(block: CompactBlock) -> Layout:

@@ -19,11 +19,12 @@ so a chain of operators writes each output cell once, when
 inside its own shape, so the full validation would only repeat what the
 leaves already passed.  Shiftability known by construction lives in the
 layout, not in the array: inflation and shift layouts are known shiftable,
-and a join takes the fixed operand's flag, so that the preconditions of
-later steps in one chain need not rescan them.  The public functions wrap
-one operator each: layout in, materialized array out, so a public operator
-that receives the output of an earlier one scans it again when its
-precondition asks.
+a join takes the fixed operand's flag, and a leaf's layout takes the flag
+``Layout.of`` is given (``dispatch`` scans each seed once; a leaf given none
+is not known shiftable), so that the preconditions of later steps in one
+chain need not rescan them.  The public functions wrap one operator each:
+layout in, materialized array out, so a public operator that receives the
+output of an earlier one scans it again when its precondition asks.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class Layout:
         self.parts = parts
 
     @classmethod
-    def of(cls, a: SignedArray) -> Layout:
-        return cls(a.rows, a.cols, len(a.cells), False, ((a, 0, 0, 0),))
+    def of(cls, a: SignedArray, shiftable: bool = False) -> Layout:
+        return cls(a.rows, a.cols, len(a.cells), shiftable, ((a, 0, 0, 0),))
 
     def materialize(self) -> SignedArray:
         """Write every part's cells, in part order, into one array."""

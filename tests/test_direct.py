@@ -136,7 +136,8 @@ def test_block_rejects_pair_in_row():
         [6, -6, 8, -8, 10],
         [7, -7, 9, -9, -10],
     ]
-    with pytest.raises(BlockError):
+    # rows 3 and 4 do not sum to zero either: the +-k row is named first
+    with pytest.raises(BlockError, match=r"^row 1 contains an entry and its negation$"):
         CompactBlock(SignedArray.from_dense(grid), "five")
 
 
@@ -149,6 +150,21 @@ def test_block_rejects_wrong_support():
     ]
     with pytest.raises(BlockError):
         CompactBlock(SignedArray.from_dense(grid), "three")
+
+
+def test_block_kind_matches_its_width():
+    from smr import CompactBlock
+
+    three = three_column_block(4)
+    with pytest.raises(BlockError, match="width 3 cannot be of kind 'x'"):
+        CompactBlock(three.array, "x")
+    with pytest.raises(BlockError, match="width 3 cannot be of kind 'five'"):
+        three._replace(kind="five")
+    with pytest.raises(BlockError, match="width 5 cannot be of kind 'three'"):
+        CompactBlock(five_column_block(8).array, "three")
+    # a five-column block may name either construction; the cells are the judge
+    for kind in ("five", "five_repaired"):
+        assert CompactBlock(five_column_block(6).array, kind).kind == kind
 
 
 @pytest.mark.parametrize("m", range(2, 201, 2))

@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from smr import (
+    SEED_IDS,
     CompactBlock,
     InfeasibleError,
     JoinMismatchError,
@@ -30,7 +31,8 @@ from smr import (
     three_column_block,
     verify_smr,
 )
-from smr.dispatch import _OPS, _apply
+from smr import transforms
+from smr.dispatch import _OPS, _apply, _seed_layout
 from smr.transforms import Layout
 
 from goldens import (
@@ -219,6 +221,27 @@ def test_sweep_outputs_validate_and_flags_hold():
                 assert array == SignedArray(array.rows, array.cols, dict(array.cells))
                 if isinstance(top, Layout) and top.shiftable:
                     assert is_shiftable(array), (m, r, str(st))
+
+
+def test_seed_layouts_are_built_once_with_their_flag():
+    for sid in SEED_IDS:
+        layout = _seed_layout(sid)
+        assert _seed_layout(sid) is layout
+        assert layout.shiftable == is_shiftable(seed(sid)[0]), sid
+
+
+def test_construct_scans_no_operand_for_shiftability(monkeypatch):
+    # every operand that an inflation or a join's first place needs shiftable
+    # is a seed, an inflation or a join whose fixed operand is a shiftable
+    # seed, so its layout already knows: no route rescans an array
+    scans = []
+    monkeypatch.setattr(transforms, "is_shiftable", lambda a: scans.append(a) or is_shiftable(a))
+    for m in range(2, 13):
+        for r in range(3, 15):
+            n = r if m == 2 else (m * r) // 2
+            if feasibility(m, n, r).feasible:
+                construct(m, n, r)
+    assert scans == []
 
 
 def _st(op: str, **args: object) -> TraceStep:

@@ -1,9 +1,10 @@
 """verify_smr against a dense checker that shares no code with smr.core.
 
 Valid constructed arrays are mutated (a cell negated, entries swapped across
-rows, a value dropped or duplicated, a cell moved) and both checkers judge the
-result: verify_smr must accept exactly what the dense checker accepts, and its
-report must name exactly the axioms the dense checker finds broken.
+rows, a value dropped or duplicated, a cell moved, every entry doubled) and
+both checkers judge the result: verify_smr must accept exactly what the dense
+checker accepts, and its report must name exactly the axioms the dense checker
+finds broken.
 """
 
 from __future__ import annotations
@@ -41,14 +42,17 @@ POINTS = [
     for n in [r if m == 2 else m * r // 2]
     if feasibility(m, n, r).feasible
 ]
-MUTATIONS = ["negate", "swap rows", "drop", "duplicate", "move"]
+MUTATIONS = ["negate", "swap rows", "drop", "duplicate", "move", "double"]
 
 
 def _mutate(draw, grid: list[list[int | None]], kind: str) -> None:
     filled = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v is not None]
     empty = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v is None]
     i, j = draw(st.sampled_from(filled))
-    if kind == "negate":
+    if kind == "double":  # every entry: counts and sums hold, the range breaks
+        for row in grid:
+            row[:] = [None if v is None else 2 * v for v in row]
+    elif kind == "negate":
         grid[i][j] = -grid[i][j]
     elif kind == "swap rows":
         others = [(k, l) for k, l in filled if k != i]
@@ -94,3 +98,32 @@ def test_dense_checker_sees_each_axiom():
     assert dense_broken(2, 4, 4, 2, [[1, -2, -3, 4], [-1, 2, 3, -3]]) == {"support", "row_sum", "col_sum"}
     # odd mr: 0 is in the support
     assert dense_broken(1, 1, 1, 1, [[0]]) == set()
+
+
+# Mutations that keep every line count and line sum and break only the
+# support: the passing case must not take them, and the report must name
+# the support alone, in the text of the sorted multiset diff.
+SUPPORT_ONLY = [
+    # every entry doubled: the values leave the range +-mr/2
+    ((2, 4, 4), None, "missing [-3, -1, 1, 3], unexpected [-8, -6, 6, 8]"),
+    (
+        (4, 10, 5),
+        None,
+        "missing [-9, -7, -5, -3, -1, 1, 3, 5, ... (2 more)], "
+        "unexpected [-20, -18, -16, -14, -12, 12, 14, 16, ... (2 more)]",
+    ),
+    # values repeated with the right count, all within range
+    ((2, 4, 4), [[1, -1, 2, -2], [-1, 1, -2, 2]], "missing [-4, -3, 3, 4], unexpected [-2, -1, 1, 2]"),
+]
+
+
+def test_support_only_mutations_report_exactly_support():
+    for (m, n, r), grid, detail in SUPPORT_ONLY:
+        if grid is None:
+            a, _ = construct(m, n, r)
+            a = SignedArray(m, n, {k: 2 * e for k, e in a.cells.items()})
+        else:
+            a = SignedArray.from_dense(grid)
+        report = verify_smr(a, Params(m, n, r, 2))
+        assert str(report) == f"fail (1 violations)\n  - support: {detail}"
+
