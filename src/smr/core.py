@@ -4,7 +4,9 @@ A signed magic rectangle with parameters (m, n; r, s) is an m x n array in
 which exactly r cells per row and s cells per column are filled, the filled
 entries use every value of the support set exactly once, and every row and
 every column sums to zero.  The support set is {+-1, ..., +-(mr/2)} when mr
-is even and {0, +-1, ..., +-((ms-1)/2)} when mr is odd.
+is even and {0, +-1, ..., +-((mr-1)/2)} when mr is odd: mr values for the mr
+filled cells.  The paper's abstract prints (ms-1)/2 for the odd case, which
+gives ms values and admits no array with r != s; it is read as a typo.
 
 Indices are 1-based throughout the public model.  Arrays are sparse maps
 from (row, col) to entry, immutable after construction: ``cells`` is a
@@ -74,7 +76,7 @@ class Params(_Checked, namedtuple("Params", "m n r s")):
 class SupportSet(NamedTuple):
     """The exact multiset of entries a valid array must use.
 
-    ``half`` is mr/2 in the even case and (ms-1)/2 in the odd case; the odd
+    ``half`` is mr/2 in the even case and (mr-1)/2 in the odd case; the odd
     case additionally contains zero.
     """
 
@@ -92,7 +94,7 @@ def support_set(p: Params) -> SupportSet:
     """Required entry set for parameters ``p``, split on the parity of mr."""
     if (p.m * p.r) % 2 == 0:
         return SupportSet(half=(p.m * p.r) // 2, includes_zero=False)
-    return SupportSet(half=(p.m * p.s - 1) // 2, includes_zero=True)
+    return SupportSet(half=(p.m * p.r - 1) // 2, includes_zero=True)
 
 
 def _is_support(values: Collection[int], support: SupportSet) -> bool:

@@ -143,21 +143,46 @@ def _infer_params(triples: list[tuple[int, int, int]]) -> Params:
         raise ParseError(str(exc)) from exc
 
 
+_RUN = 64  # the most empty fields one shared run string holds
+
+
 def to_grid(a: SignedArray) -> str:
-    """Text grid: one line per row, right-aligned entries, '.' when empty."""
+    """Text grid: one line per row, right-aligned entries, '.' when empty.
+
+    Every field is written with the separator after it, " " or, in the last
+    column, a newline.  A gap of k empty fields is one shared run string,
+    ``run[k]``, or for k past the run length ``[chunk] * q`` and a run; the
+    empty fields that close a row are ``close[k]`` the same way.  No piece is
+    sliced from a blank row, so the final join writes each byte once.
+    """
+    cols = a.cols
+    if not cols:
+        return "\n" * a.rows
     values = a.cells.values()
     # the longest decimal is that of the largest or of the most negative entry
     width = max(len(str(max(values))), len(str(min(values)))) if values else 1
-    step = width + 1
-    blank = " ".join([".".rjust(width)] * a.cols) + "\n"
-    parts = []
+    field, last = f"%{width}d ", f"%{width}d\n"
+    dot = ".".rjust(width)
+    size = min(_RUN, cols)
+    run = [(dot + " ") * k for k in range(size + 1)]
+    close = [""] + [run[k - 1] + dot + "\n" for k in range(1, size + 1)]
+    chunk = run[size]
+    parts: list[str] = []
     for row in _by_row(a)[1:]:
         at = 0
         for j, e in row:
-            start = (j - 1) * step
-            parts += (blank[at:start], str(e).rjust(width))
-            at = start + width
-        parts.append(blank[at:])
+            k = j - at - 1
+            if k > size:
+                q, k = divmod(k, size)
+                parts += [chunk] * q
+            parts += (run[k], (last if j == cols else field) % e)
+            at = j
+        k = cols - at
+        if k > size:  # close[k] keeps the last field, the one with the newline
+            q, k = divmod(k - 1, size)
+            parts += [chunk] * q
+            k += 1
+        parts.append(close[k])
     return "".join(parts)
 
 

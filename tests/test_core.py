@@ -8,6 +8,7 @@ from smr import (
     DimensionError,
     Params,
     SignedArray,
+    SupportSet,
     entry_multiset,
     is_shiftable,
     seed,
@@ -207,3 +208,12 @@ def test_verifier_handles_odd_support_parameters():
     a = SignedArray(1, 1, {(1, 1): 0})
     assert verify_smr(a, Params(1, 1, 1, 1)).ok
     assert not verify_smr(SignedArray(1, 1, {(1, 1): 1}), Params(1, 1, 1, 1)).ok
+
+
+def test_odd_support_counts_the_cells():
+    # mr = 15 cells take 0, +-1..+-7; (ms-1)/2 would give 9 values for 15 cells
+    assert support_set(Params(3, 5, 5, 3)) == SupportSet(half=7, includes_zero=True)
+    dense = [[-7, -6, 3, 6, 4], [0, 1, 2, -2, -1], [7, 5, -5, -4, -3]]
+    # from_dense reads 0 as an empty cell; here (2, 1) holds the entry 0
+    a = SignedArray(3, 5, {(i + 1, j + 1): e for i, row in enumerate(dense) for j, e in enumerate(row)})
+    assert verify_smr(a, Params(3, 5, 5, 3)).ok

@@ -204,8 +204,10 @@ def reference_grid(a: SignedArray) -> str:
 
 @st.composite
 def sparse_arrays(draw) -> SignedArray:
+    # a few hundred columns give gaps past to_grid's 64-field run at a row's
+    # start, middle and end, and rows with no entry at all
     rows = draw(st.integers(0, 6))
-    cols = draw(st.integers(0, 9))
+    cols = draw(st.one_of(st.integers(0, 9), st.integers(0, 300)))
     if not rows or not cols:
         return SignedArray(rows, cols, {})
     entries = draw(st.sampled_from([
@@ -231,8 +233,36 @@ params = st.builds(
 @example(SignedArray(3, 0, {}), Params(1, 1, 1, 1))
 @example(SignedArray(3, 4, {(2, 3): 0}), Params(2, 4, 4, 2))
 @example(SignedArray(3, 4, {(1, 4): -7, (3, 1): -12345}), Params(2, 4, 4, 2))
+# long gaps: at a row's start, in its middle, at its end, a whole empty row
+@example(SignedArray(2, 200, {(1, 150): 5}), Params(1, 1, 1, 1))
+@example(SignedArray(2, 200, {(1, 1): 3, (1, 140): -4, (2, 1): 9}), Params(1, 1, 1, 1))
+@example(SignedArray(3, 257, {(1, 1): 1, (1, 130): -1, (2, 129): 2, (3, 130): 3}), Params(1, 1, 1, 1))
+# gaps of 64 and 65 fields between, before and after entries; 64 and 65 columns
+@example(
+    SignedArray(6, 130, {
+        (1, 1): 1, (1, 66): -1, (2, 1): 1, (2, 67): -1, (3, 65): 10,
+        (4, 66): -10, (5, 66): 0, (6, 65): 7,
+    }),
+    Params(1, 1, 1, 1),
+)
+@example(SignedArray(2, 64, {}), Params(1, 1, 1, 1))
+@example(SignedArray(2, 65, {(1, 65): 7}), Params(1, 1, 1, 1))
 def test_writers_match_reference(a, p):
     assert to_json(a, p) == reference_json(a, p)
     assert to_csv(a, p) == reference_csv(a, p)
     assert to_grid(a) == reference_grid(a)
 
+
+def test_grid_written_with_one_copy():
+    # the final join writes the text once: the peak is the text, the list of
+    # pieces and the shared run strings, and no slice holds a second copy
+    import tracemalloc
+
+    a, _ = construct(1000, 6000, 12)
+    tracemalloc.start()
+    try:
+        text = to_grid(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(text)

@@ -27,8 +27,9 @@ def dense_broken(m: int, n: int, r: int, s: int, grid: list[list[int | None]]) -
         broken.add("row_sum")
     if any(sum(v for v in col if v is not None) != 0 for col in columns):
         broken.add("col_sum")
-    # the support is +-1..+-mr/2 for even mr, and 0, +-1..+-(ms-1)/2 for odd
-    top = m * r // 2 if m * r % 2 == 0 else (m * s - 1) // 2
+    # the support is +-1..+-mr/2 for even mr, and 0, +-1..+-(mr-1)/2 for odd:
+    # mr values for the mr filled cells
+    top = m * r // 2 if m * r % 2 == 0 else (m * r - 1) // 2
     want = [v for v in range(-top, top + 1) if v != 0 or m * r % 2]
     if sorted(v for row in grid for v in row if v is not None) != want:
         broken.add("support")
@@ -98,6 +99,8 @@ def test_dense_checker_sees_each_axiom():
     assert dense_broken(2, 4, 4, 2, [[1, -2, -3, 4], [-1, 2, 3, -3]]) == {"support", "row_sum", "col_sum"}
     # odd mr: 0 is in the support
     assert dense_broken(1, 1, 1, 1, [[0]]) == set()
+    # odd mr with r != s: the support is 0, +-1..+-(mr-1)/2, mr values
+    assert dense_broken(3, 5, 5, 3, [[-7, -6, 3, 6, 4], [0, 1, 2, -2, -1], [7, 5, -5, -4, -3]]) == set()
 
 
 # Mutations that keep every line count and line sum and break only the
