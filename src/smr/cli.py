@@ -159,10 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        if text.lstrip().startswith("{"):
-            array, params = formats.from_json(text)
-        else:
-            array, params = formats.from_csv(text)
+        array, params = formats.read(text)
     except ValueError as exc:  # formats.ParseError among them
         print(f"parse failure in {args.path}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -167,21 +167,6 @@ class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
     ) -> SignedArray:
         return cls._trusted(rows, cols, _checked(rows, cols, (((i, j), e) for i, j, e in triples)))
 
-    @classmethod
-    def from_dense(cls, grid: Iterable[Iterable[int]]) -> SignedArray:
-        """Build from row lists, using 0 to mark an empty cell."""
-        rows = [list(row) for row in grid]
-        cols = len(rows[0]) if rows else 0
-        if any(len(row) != cols for row in rows):
-            raise ValueError("ragged row lengths")
-        pairs = (
-            ((i, j), e)
-            for i, row in enumerate(rows, start=1)
-            for j, e in enumerate(row, start=1)
-            if e != 0
-        )
-        return cls._trusted(len(rows), cols, _checked(len(rows), cols, pairs))
-
     def __reduce__(self) -> tuple[type[SignedArray], tuple[int, int, dict]]:
         # a mappingproxy cannot be pickled; rebuild through the checks
         return type(self), (self.rows, self.cols, self.cells.copy())

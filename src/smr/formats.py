@@ -2,13 +2,14 @@
 
 JSON and CSV forms carry the parameter quadruple and round-trip bit-exactly
 through the parsers here.  The grid form is the human-facing rendering
-(right-aligned entries, "." for empty cells) and can also be parsed back for
-tests; it does not carry parameters.
+(right-aligned entries, "." for empty cells), whose parser infers the
+parameters.  Every parser returns ``(array, params)``; ``read`` picks one.
 """
 
 from __future__ import annotations
 
 import json
+import re  # loaded by json already
 
 from .core import Params, SignedArray
 
@@ -101,7 +102,9 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     if params is None:
-        params = _infer_params(triples)
+        m = max((i for i, _, _ in triples), default=0)
+        n = max((j for _, j, _ in triples), default=0)
+        params = _infer_params(m, n, triples)
     try:
         a = SignedArray.from_cells(params.m, params.n, triples)
     except ValueError as exc:
@@ -115,30 +118,33 @@ def _parse_param_comment(line: str) -> Params:
         if "=" not in token:
             raise ParseError(f"malformed parameter token {token!r}")
         key, _, value = token.partition("=")
+        if key not in Params._fields:
+            raise ParseError(f"unknown parameter {key!r}")
+        if key in fields:
+            raise ParseError(f"repeated parameter {key!r}")
         try:
             fields[key] = int(value)
         except ValueError as exc:
             raise ParseError(f"malformed parameter token {token!r}") from exc
-    missing = {"m", "n", "r", "s"} - fields.keys()
+    missing = set(Params._fields) - fields.keys()
     if missing:
         raise ParseError(f"parameter comment missing {sorted(missing)}")
     try:
-        return Params(fields["m"], fields["n"], fields["r"], fields["s"])
+        return Params(**fields)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _infer_params(triples: list[tuple[int, int, int]]) -> Params:
-    if not triples:
+def _infer_params(m: int, n: int, cells: list) -> Params:
+    """Parameters of an m x n array whose ``cells`` fill its lines evenly."""
+    if not cells:
         raise ParseError("cannot infer parameters from an empty cell list")
-    m = max(i for i, _, _ in triples)
-    n = max(j for _, j, _ in triples)
     if m < 1 or n < 1:
         raise ParseError(f"cannot infer parameters from maximal indices {m}, {n}")
-    if len(triples) % m or len(triples) % n:
+    if len(cells) % m or len(cells) % n:
         raise ParseError("cell count is not divisible by the inferred dimensions")
     try:
-        return Params(m, n, len(triples) // m, len(triples) // n)
+        return Params(m, n, len(cells) // m, len(cells) // n)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -186,23 +192,34 @@ def to_grid(a: SignedArray) -> str:
     return "".join(parts)
 
 
-def from_grid(text: str) -> SignedArray:
-    """Parse the grid rendering; tolerant of extra spacing."""
-    rows = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        entries = []
-        for token in ln.split():
-            if token == ".":
-                entries.append(0)
-            else:
+def from_grid(text: str) -> tuple[SignedArray, Params]:
+    """Parse the grid rendering, tolerant of extra spacing: "." is an empty
+    cell and every integer, 0 included, is a cell.  m and n are the grid's
+    shape, and r and s follow from the cell count."""
+    rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    n = len(rows[0]) if rows else 0
+    triples = []
+    for i, tokens in enumerate(rows, start=1):
+        if len(tokens) != n:
+            raise ParseError("ragged row lengths")
+        for j, token in enumerate(tokens, start=1):
+            if token != ".":
                 try:
-                    entries.append(int(token))
+                    triples.append((i, j, int(token)))
                 except ValueError as exc:
                     raise ParseError(f"bad grid token {token!r}") from exc
-        rows.append(entries)
-    try:
-        return SignedArray.from_dense(rows)
-    except ValueError as exc:  # ragged rows
-        raise ParseError(str(exc)) from exc
+    params = _infer_params(len(rows), n, triples)
+    return SignedArray.from_cells(params.m, params.n, triples), params
+
+
+_SNIFF = re.compile(r"\s*(?:(\{)|#|row,col,value(?!\S))", re.IGNORECASE)
+
+
+def read(text: str) -> tuple[SignedArray, Params]:
+    """Parse JSON, CSV or a grid, told apart by the first non-blank token:
+    "{" is JSON, "#" or a ``row,col,value`` header (any case) is CSV, and
+    anything else is a grid."""
+    match = _SNIFF.match(text)
+    if match is None:
+        return from_grid(text)
+    return from_json(text) if match.group(1) else from_csv(text)

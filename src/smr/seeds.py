@@ -11,6 +11,8 @@ In the dense literals below, 0 marks an empty cell; no stored entry is zero.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import Params, SignedArray, verify_smr
 
 _CATALOG: dict[str, tuple[Params, list[list[int]]]] = {
@@ -88,9 +90,8 @@ _CATALOG: dict[str, tuple[Params, list[list[int]]]] = {
 
 SEED_IDS = tuple(_CATALOG)
 
-_cache: dict[str, tuple[SignedArray, Params]] = {}
 
-
+@cache  # the catalog is fixed and an array immutable: one check per seed
 def seed(seed_id: str) -> tuple[SignedArray, Params]:
     """Return the catalog array and its parameters, validated on first use.
 
@@ -99,11 +100,10 @@ def seed(seed_id: str) -> tuple[SignedArray, Params]:
     """
     if seed_id not in _CATALOG:
         raise KeyError(f"unknown seed id {seed_id!r}; known: {', '.join(SEED_IDS)}")
-    if seed_id not in _cache:
-        params, grid = _CATALOG[seed_id]
-        array = SignedArray.from_dense(grid)
-        report = verify_smr(array, params)
-        if not report.ok:  # raised, not asserted: python -O must not skip it
-            raise AssertionError(f"seed {seed_id} fails validation: {report}")
-        _cache[seed_id] = (array, params)
-    return _cache[seed_id]
+    params, grid = _CATALOG[seed_id]
+    cells = ((i, j, e) for i, row in enumerate(grid, 1) for j, e in enumerate(row, 1) if e)
+    array = SignedArray.from_cells(params.m, params.n, cells)
+    report = verify_smr(array, params)
+    if not report.ok:  # raised, not asserted: python -O must not skip it
+        raise AssertionError(f"seed {seed_id} fails validation: {report}")
+    return array, params

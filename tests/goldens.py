@@ -127,7 +127,7 @@ GRID_BLOCK5_M10 = """
 
 
 def golden(grid: str) -> SignedArray:
-    return from_grid(grid)
+    return from_grid(grid)[0]
 
 
 def by_line(a: SignedArray) -> tuple[list[dict[int, int]], list[dict[int, int]]]:

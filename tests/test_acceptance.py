@@ -20,13 +20,13 @@ from smr import (
     Params,
     ParityError,
     SEED_IDS,
-    SignedArray,
     construct,
     cross_check,
     decide,
     feasibility,
     five_column_block,
     from_csv,
+    from_grid,
     from_json,
     inflate_diagonal,
     inflate_horizontal,
@@ -217,14 +217,13 @@ def test_criterion_6_randomized_property_suite():
             cases += 1
 
         # joins reject precondition violations with the documented error types
-        odd_cells_rows = [[1, 2, -3], [-1, -2, 3], [4, -4, 5]]
+        odd_cells = from_grid(" 1  2 -3\n-1 -2  3\n 4 -4  5\n")[0]
         for _ in range(300):
             kind = rng.randrange(3)
             if kind == 0:  # odd cell count in the fixed operand
                 a, _ = seed("S_3x6")
-                bad = SignedArray.from_dense(odd_cells_rows)
                 with pytest.raises(ParityError):
-                    join_horizontal(inflate_horizontal(a, rng.randint(1, 3)), bad)
+                    join_horizontal(inflate_horizontal(a, rng.randint(1, 3)), odd_cells)
             elif kind == 1:  # row-count mismatch
                 a, _ = seed("S_2x4")
                 b, _ = seed(rng.choice(("S_3x6", "S_5x10", "S_3x9")))

@@ -197,6 +197,36 @@ def test_verify_parse_failure_exit_1(tmp_path, capsys):
         assert "parse failure" in err
 
 
+def test_verify_reads_the_grid_gen_writes(tmp_path, capsys):
+    # the grid is gen's default format; verify tells it from JSON and CSV
+    path = tmp_path / "a.txt"
+    for argv in (("gen", 3, 6, 4), ("gen", 2, 12, 12)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path.write_text(out, encoding="utf-8")
+        assert run_cli(capsys, "verify", path) == (0, "pass\n", "")
+
+
+def test_verify_grid_with_one_sign_flipped_exit_3(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "gen", 3, 6, 4)
+    entry = re.search(r"-?[1-9]\d*", out)
+    flipped = str(-int(entry.group()))
+    path = tmp_path / "flipped.txt"
+    path.write_text(out[: entry.start()] + flipped + out[entry.end() :], encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert code == 3
+    assert out.startswith("fail") and "row_sum" in out
+
+
+def test_verify_text_in_no_format_exit_1(tmp_path, capsys):
+    # neither JSON nor CSV, so it is read as a grid, and its token is no integer
+    path = tmp_path / "hello.txt"
+    path.write_text("hello\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, out) == (1, "")
+    assert err == f"parse failure in {path}: bad grid token 'hello'\n"
+
+
 def test_verify_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "/no/such/file.json")
     assert code == 1

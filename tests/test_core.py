@@ -103,7 +103,7 @@ def test_first_defect_in_input_order_is_reported():
     with pytest.raises(ValueError, match=r"entry at \(1,1\)"):
         SignedArray(2, 2, {(1, 1): 1.5, (3, 3): 1})
     with pytest.raises(ValueError, match=r"entry at \(1,2\)"):
-        SignedArray.from_dense([[1, 1.5], [2.5, 3]])
+        SignedArray.from_cells(2, 2, [(1, 1, 1), (1, 2, 1.5), (2, 1, 2.5), (2, 2, 3)])
 
 
 def test_a_key_that_is_no_pair_is_named():
@@ -214,6 +214,5 @@ def test_odd_support_counts_the_cells():
     # mr = 15 cells take 0, +-1..+-7; (ms-1)/2 would give 9 values for 15 cells
     assert support_set(Params(3, 5, 5, 3)) == SupportSet(half=7, includes_zero=True)
     dense = [[-7, -6, 3, 6, 4], [0, 1, 2, -2, -1], [7, 5, -5, -4, -3]]
-    # from_dense reads 0 as an empty cell; here (2, 1) holds the entry 0
     a = SignedArray(3, 5, {(i + 1, j + 1): e for i, row in enumerate(dense) for j, e in enumerate(row)})
     assert verify_smr(a, Params(3, 5, 5, 3)).ok

@@ -127,29 +127,29 @@ def test_spread_columns_hold_value_and_negation():
 
 
 def test_block_rejects_pair_in_row():
-    from smr import CompactBlock, SignedArray
+    from smr import CompactBlock, from_grid
 
     # zero-sum first row that still contains an entry and its negation
-    grid = [
-        [1, -1, 2, 3, -5],
-        [-2, -3, 4, -4, 5],
-        [6, -6, 8, -8, 10],
-        [7, -7, 9, -9, -10],
-    ]
+    grid = """
+     1 -1  2  3  -5
+    -2 -3  4 -4   5
+     6 -6  8 -8  10
+     7 -7  9 -9 -10
+    """
     # rows 3 and 4 do not sum to zero either: the +-k row is named first
     with pytest.raises(BlockError, match=r"^row 1 contains an entry and its negation$"):
-        CompactBlock(SignedArray.from_dense(grid), "five")
+        CompactBlock(from_grid(grid)[0], "five")
 
 
 def test_block_rejects_wrong_support():
-    from smr import CompactBlock, SignedArray
+    from smr import CompactBlock, from_grid
 
-    grid = [
-        [1, 2, -3],
-        [-1, -2, 4],  # 4 replaces 3: support is no longer exact
-    ]
+    grid = """
+     1  2 -3
+    -1 -2  4
+    """  # 4 replaces 3: support is no longer exact
     with pytest.raises(BlockError):
-        CompactBlock(SignedArray.from_dense(grid), "three")
+        CompactBlock(from_grid(grid)[0], "three")
 
 
 def test_block_kind_matches_its_width():

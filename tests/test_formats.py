@@ -23,6 +23,7 @@ from smr import (
     to_grid,
     to_json,
 )
+from smr.formats import read
 
 
 def test_grid_rendering_pinned():
@@ -40,8 +41,8 @@ def test_grid_empty_cells_rendered_as_dots():
 
 
 def test_grid_round_trip():
-    a, _ = seed("S_5x15")
-    assert from_grid(to_grid(a)) == a
+    a, p = seed("S_5x15")
+    assert from_grid(to_grid(a)) == (a, p)
 
 
 def test_json_canonical_form():
@@ -130,6 +131,12 @@ def test_csv_parse_errors():
         from_csv("# m=2 n=3 r=3 s=2\nrow,col,value\n3,1,1\n")
     with pytest.raises(ParseError, match="duplicate"):
         from_csv("# m=2 n=3 r=3 s=2\nrow,col,value\n1,1,1\n1,1,-1\n")
+    # a repeated or unknown key in the parameter comment; the last value no
+    # longer wins, and no key is ignored
+    with pytest.raises(ParseError, match="repeated parameter 'm'"):
+        from_csv("# m=2 n=3 r=3 s=2 m=9\nrow,col,value\n")
+    with pytest.raises(ParseError, match="unknown parameter 'x'"):
+        from_csv("# m=2 n=3 r=3 s=2 x=5\nrow,col,value\n")
 
 
 def test_grid_parse_errors():
@@ -137,6 +144,56 @@ def test_grid_parse_errors():
         from_grid("1 2 q\n")
     with pytest.raises(ParseError, match="ragged"):
         from_grid("1 2\n3\n")
+    # the parameters are inferred as from a CSV without its comment
+    with pytest.raises(ParseError, match="empty cell list"):
+        from_grid(" . .\n . .\n")
+    with pytest.raises(ParseError, match="not divisible"):
+        from_grid(" 1 -1\n 2  .\n")
+
+
+# the SMR(3, 5; 5, 3): mr = 15 is odd, so 0 is one of its entries
+ODD_3x5 = SignedArray.from_cells(3, 5, [
+    (i, j, e)
+    for i, row in enumerate([[-7, -6, 3, 6, 4], [0, 1, 2, -2, -1], [7, 5, -5, -4, -3]], 1)
+    for j, e in enumerate(row, 1)
+])
+
+
+@st.composite
+def uniform_arrays_with_zero(draw) -> tuple[SignedArray, Params]:
+    # cell t of row t // r + 1 lies in column t % n + 1: each row takes r
+    # cyclically consecutive columns, and each column is taken s = mr / n times
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    r = draw(st.sampled_from([r for r in range(1, n + 1) if m * r % n == 0]))
+    entries = draw(st.lists(st.integers(-(10**6), 10**6), min_size=m * r, max_size=m * r))
+    entries[draw(st.integers(0, m * r - 1))] = 0
+    a = SignedArray.from_cells(m, n, [(t // r + 1, t % n + 1, e) for t, e in enumerate(entries)])
+    return a, Params(m, n, r, m * r // n)
+
+
+@settings(max_examples=200)
+@given(uniform_arrays_with_zero())
+@example((ODD_3x5, Params(3, 5, 5, 3)))
+def test_grid_round_trip_keeps_zero_entries(case):
+    a, p = case
+    assert 0 in a.cells.values()
+    assert from_grid(to_grid(a)) == (a, p)
+
+
+def test_read_picks_the_parser():
+    a, p = seed("S_3x6")
+    csv = to_csv(a, p)
+    header_only = csv.split("\n", 1)[1]  # parameters inferred from the cells
+    for text in (to_json(a, p), csv, header_only, header_only.upper(), to_grid(a)):
+        assert read(text) == (a, p)
+        assert read("\n  \n" + text) == (a, p)
+    assert read(to_grid(ODD_3x5)) == (ODD_3x5, Params(3, 5, 5, 3))
+    with pytest.raises(ParseError, match="bad grid token 'hello'"):
+        read("hello\n")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        read("{")
+    with pytest.raises(ParseError, match="header"):
+        read("# m=2 n=3 r=3 s=2\n")
 
 
 POINTS = [(2, 4, 4), (2, 11, 11), (3, 6, 4), (6, 9, 3), (5, 15, 6), (8, 20, 5)]
@@ -150,7 +207,7 @@ def test_constructed_arrays_round_trip(point):
     p = Params(m, n, r, 2)
     assert from_json(to_json(a, p)) == (a, p)
     assert from_csv(to_csv(a, p)) == (a, p)
-    assert from_grid(to_grid(a)) == a
+    assert from_grid(to_grid(a)) == (a, p)
 
 
 def test_every_sweep_output_pinned():

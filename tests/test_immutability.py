@@ -39,10 +39,9 @@ def _sources() -> dict[str, SignedArray]:
     return {
         "SignedArray": SignedArray(1, 2, {(1, 1): 1, (1, 2): -1}),
         "from_cells": SignedArray.from_cells(1, 2, [(1, 1, 1), (1, 2, -1)]),
-        "from_dense": SignedArray.from_dense([[1, -1]]),
         "from_json": from_json(to_json(a, p))[0],
         "from_csv": from_csv(to_csv(a, p))[0],
-        "from_grid": from_grid("1 -1\n"),
+        "from_grid": from_grid("1 -1\n")[0],
         "seed": a,
         "shift": shift(a, 3),
         "inflate_horizontal": inflate_horizontal(a, 2),
@@ -76,7 +75,7 @@ def test_seed_survives_attempted_write():
     with pytest.raises(TypeError):
         a.cells[1, 1] = 99
     again, q = seed("S_2x4")
-    assert again == SignedArray.from_dense([[1, -2, -3, 4], [-1, 2, 3, -4]])
+    assert again == from_grid(" 1 -2 -3  4\n-1  2  3 -4\n")[0]
     assert verify_smr(again, q).ok
     assert verify_smr(construct(2, 8, 8)[0], Params(2, 8, 8, 2)).ok
 
@@ -102,9 +101,9 @@ def test_array_built_from_cells_of_another():
 
 
 def test_equality_compares_shape_and_cells():
-    a = SignedArray.from_dense([[1, -1]])
+    a = SignedArray(1, 2, {(1, 1): 1, (1, 2): -1})
     assert a == SignedArray.from_cells(1, 2, [(1, 2, -1), (1, 1, 1)])
-    assert a != SignedArray.from_dense([[-1, 1]])
+    assert a != SignedArray(1, 2, {(1, 1): -1, (1, 2): 1})
     assert a != SignedArray(1, 3, a.cells)
     assert a != {(1, 1): 1, (1, 2): -1}
     assert SignedArray(0, 0) == SignedArray(0, 0, {})

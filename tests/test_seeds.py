@@ -76,8 +76,14 @@ def test_seed_entry_ranges():
 
 
 def test_unknown_seed_id():
-    with pytest.raises(KeyError):
-        seed("S_9x9")
+    # a raised KeyError is not cached: every call raises it again
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown seed id 'S_9x9'"):
+            seed("S_9x9")
+
+
+def test_seed_result_is_shared():
+    assert seed("S_4x12") is seed("S_4x12")
 
 
 def test_corrupted_seed_fails_under_python_O():

@@ -13,6 +13,7 @@ from smr import (
     ParityError,
     SignedArray,
     entry_multiset,
+    from_grid,
     inflate_diagonal,
     inflate_horizontal,
     is_shiftable,
@@ -204,13 +205,13 @@ def test_join_horizontal_empty_left_operand():
 def test_join_horizontal_parity_gate():
     # odd shared row count times odd fixed-operand degree: shift would be half-integral
     a, _ = seed("S_3x6")
-    bad = SignedArray.from_dense(
-        [
-            [1, 2, -3],
-            [-1, -2, 3],
-            [4, -4, 5],
-        ]
-    )
+    bad = from_grid(
+        """
+         1  2 -3
+        -1 -2  3
+         4 -4  5
+        """
+    )[0]
     with pytest.raises(ParityError):
         join_horizontal(a, bad)
 

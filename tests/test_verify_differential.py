@@ -126,7 +126,8 @@ def test_support_only_mutations_report_exactly_support():
             a, _ = construct(m, n, r)
             a = SignedArray(m, n, {k: 2 * e for k, e in a.cells.items()})
         else:
-            a = SignedArray.from_dense(grid)
+            cells = {(i, j): e for i, row in enumerate(grid, 1) for j, e in enumerate(row, 1)}
+            a = SignedArray(m, n, cells)
         report = verify_smr(a, Params(m, n, r, 2))
         assert str(report) == f"fail (1 violations)\n  - support: {detail}"
 
