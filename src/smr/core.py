@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 
 class DimensionError(ValueError):
@@ -109,20 +109,19 @@ def _is_support(values: Collection[int], support: SupportSet) -> bool:
     )
 
 
-def _checked(rows: int, cols: int, items: Iterable) -> dict[tuple[int, int], int]:
+def _checked(rows: int, cols: int, triples: Iterable) -> dict[tuple[int, int], int]:
     """The one checked door into ``SignedArray``: check the shape, then take each
-    ``((row, col), entry)`` once.  A key that is no (row, col) tuple, a repeat,
-    a non-``int`` index or entry and a cell off the grid are ``ValueError``s;
-    the first defect in input order is raised."""
+    ``(row, col, entry)`` once.  A triple of another length, a repeat, a
+    non-``int`` index or entry and a cell off the grid are ``ValueError``s;
+    the first defect in input order is raised.  The triples may be tuples or
+    the lists ``json.loads`` returns: the parsers hand theirs in as they are."""
     if type(rows) is not int or type(cols) is not int:
         raise ValueError(f"dimensions are not integers: {rows!r}x{cols!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"negative dimensions {rows}x{cols}")
     cells: dict[tuple[int, int], int] = {}
-    for key, e in items:
-        if not isinstance(key, tuple) or len(key) != 2:
-            raise ValueError(f"cell index {key!r} is not a (row, col) pair")
-        i, j = key
+    for i, j, e in triples:
+        key = (i, j)
         if key in cells:
             raise ValueError(f"duplicate cell ({i},{j})")
         if type(i) is not int or type(j) is not int:
@@ -133,6 +132,15 @@ def _checked(rows: int, cols: int, items: Iterable) -> dict[tuple[int, int], int
             raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
         cells[key] = e
     return cells
+
+
+def _pairs(cells: Mapping) -> Iterator[tuple]:
+    """The ``(row, col, entry)`` triples of a mapping, each key checked to be a
+    (row, col) pair as it reaches the door, so defects keep their input order."""
+    for key, e in cells.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"cell index {key!r} is not a (row, col) pair")
+        yield (*key, e)
 
 
 class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
@@ -147,7 +155,7 @@ class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, cells: Mapping = MappingProxyType({})) -> SignedArray:
-        return cls._trusted(rows, cols, _checked(rows, cols, cells.items()))
+        return cls._trusted(rows, cols, _checked(rows, cols, _pairs(cells)))
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, cells: dict[tuple[int, int], int]) -> SignedArray:
@@ -165,7 +173,7 @@ class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
     def from_cells(
         cls, rows: int, cols: int, triples: Iterable[tuple[int, int, int]]
     ) -> SignedArray:
-        return cls._trusted(rows, cols, _checked(rows, cols, (((i, j), e) for i, j, e in triples)))
+        return cls._trusted(rows, cols, _checked(rows, cols, triples))
 
     def __reduce__(self) -> tuple[type[SignedArray], tuple[int, int, dict]]:
         # a mappingproxy cannot be pickled; rebuild through the checks

@@ -84,10 +84,70 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
     Parameters come from the leading ``# m=.. n=.. r=.. s=..`` comment when
     present and are otherwise inferred from the cells (maximal row and column
     index, uniform per-row and per-column counts).
+
+    The cell lines are read by the JSON scanner (``_scan_csv``) when the text
+    has the canonical layout.  If the scanner or the checks raise, the text
+    is read again line by line (``_read_csv_lines``), which decides what the
+    input means and words every error.
     """
+    try:
+        return _scan_csv(text)
+    except (TypeError, ValueError):  # TypeError: max() over a null or a string
+        pass
+    # read again outside the handler, whose traceback holds the scanned lists
+    return _read_csv_lines(text)
+
+
+def _scan_csv(text: str) -> tuple[SignedArray, Params]:
+    """The canonical CSV, its cell lines read as one JSON array of arrays.
+
+    Only the head is split off: an optional comment line and the header,
+    each one line as ``splitlines`` cuts the text, with no blank line before
+    them.  The cell lines become ``[[`` + lines joined by ``],[`` + ``]]``.
+    The text is refused (with a ``ValueError``) where JSON would read it
+    otherwise than the line loop: a ``[`` or ``]`` would join or split lines,
+    a ``{`` would nest, and a lone ``\\r`` is a line break to ``splitlines``
+    but blank to JSON.  A blank line, a field that is no JSON integer
+    (``05``, ``+5``) and a line of another length fail here too; only one
+    trailing line break is allowed.  The door checks the rest, so whatever
+    passes reads as it does line by line.
+    """
+    line, at = _head_line(text, 0)
+    params = None
+    if line.lstrip().startswith("#"):
+        params = _parse_param_comment(line)
+        line, at = _head_line(text, at)
+    if line.strip().lower() != "row,col,value":
+        raise ParseError("expected header line 'row,col,value'")
+    if (
+        text.find("[", at) >= 0
+        or text.find("]", at) >= 0
+        or text.find("{", at) >= 0
+        or text.count("\r", at) != text.count("\r\n", at)
+    ):
+        raise ValueError("not a canonical CSV body")
+    triples = json.loads("[[" + text[at:].replace("\n", "],[") + "]]")
+    if not triples[-1]:  # the line break that ends the last line
+        triples.pop()
+    return _array(params, triples)
+
+
+def _head_line(text: str, at: int) -> tuple[str, int]:
+    """The line that starts at ``at`` and where the next one starts, if the
+    text up to the next ``\\n`` is one line to ``splitlines``."""
+    end = text.find("\n", at)
+    if end < 0:
+        end = len(text)
+    lines = text[at:end].splitlines()
+    if len(lines) != 1:
+        raise ValueError("not a canonical CSV head")
+    return lines[0], end + 1
+
+
+def _read_csv_lines(text: str) -> tuple[SignedArray, Params]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     params: Params | None = None
-    if lines and lines[0].startswith("#"):
+    if lines and lines[0].lstrip().startswith("#"):
         params = _parse_param_comment(lines[0])
         lines = lines[1:]
     if not lines or lines[0].strip().lower() != "row,col,value":
@@ -101,20 +161,24 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
             triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+    try:
+        return _array(params, triples)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _array(params: Params | None, triples: list) -> tuple[SignedArray, Params]:
+    """The array of ``triples``, with ``params`` or, when None, the inferred ones."""
     if params is None:
         m = max((i for i, _, _ in triples), default=0)
         n = max((j for _, j, _ in triples), default=0)
         params = _infer_params(m, n, triples)
-    try:
-        a = SignedArray.from_cells(params.m, params.n, triples)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return a, params
+    return SignedArray.from_cells(params.m, params.n, triples), params
 
 
 def _parse_param_comment(line: str) -> Params:
     fields: dict[str, int] = {}
-    for token in line.lstrip("#").split():
+    for token in line.strip().lstrip("#").split():
         if "=" not in token:
             raise ParseError(f"malformed parameter token {token!r}")
         key, _, value = token.partition("=")

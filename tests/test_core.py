@@ -6,10 +6,12 @@ import pytest
 
 from smr import (
     DimensionError,
+    ParseError,
     Params,
     SignedArray,
     SupportSet,
     entry_multiset,
+    from_json,
     is_shiftable,
     seed,
     support_set,
@@ -104,6 +106,29 @@ def test_first_defect_in_input_order_is_reported():
         SignedArray(2, 2, {(1, 1): 1.5, (3, 3): 1})
     with pytest.raises(ValueError, match=r"entry at \(1,2\)"):
         SignedArray.from_cells(2, 2, [(1, 1, 1), (1, 2, 1.5), (2, 1, 2.5), (2, 2, 3)])
+    # the door takes triples as tuples or as the lists json.loads returns
+    with pytest.raises(ValueError, match=r"cell \(3,1\) outside the 2x2 grid"):
+        SignedArray.from_cells(2, 2, [[3, 1, 1], [1, 1, 1], [1, 1, 2]])
+    with pytest.raises(ValueError, match=r"not enough values to unpack"):
+        SignedArray.from_cells(2, 2, [(1, 1, 1), (1, 2), (3, 1, 1)])
+    # from_json hands its cell lists to the same door
+    for cells, message in [
+        ("[1, 1, 1], [1, 1, 2], [3, 1, 1.5]", r"duplicate cell \(1,1\)"),
+        ("[1, 2, 1.5], [1, 2, 1]", r"entry at \(1,2\) is not an integer: 1.5"),
+        ("[1, 1, 1], [2, 3, 1], [true, 1, 1]", r"cell \(2,3\) outside the 2x2 grid"),
+        ("[1, 1, 1], [true, 1, 1], [2, 3, 1]", r"duplicate cell \(True,1\)"),
+        ("[1, 1, 1], [1, 2], [2, 3, 1]", r"not enough values to unpack"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            from_json('{"m": 2, "n": 2, "r": 2, "s": 2, "cells": [%s]}' % cells)
+    # the mapping constructor checks a key's shape as it reaches the door,
+    # so an earlier cell's defect is still the one reported
+    with pytest.raises(ValueError, match=r"cell \(3,3\) outside"):
+        SignedArray(2, 2, {(3, 3): 1, 5: 1})
+    with pytest.raises(ValueError, match=r"cell index 5 is not a \(row, col\) pair"):
+        SignedArray(2, 2, {5: 1, (3, 3): 1})
+    with pytest.raises(ValueError, match=r"entry at \(1,1\)"):
+        SignedArray(2, 2, {(1, 1): 1.5, (1, 2, 3): 1})
 
 
 def test_a_key_that_is_no_pair_is_named():

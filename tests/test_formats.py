@@ -23,7 +23,7 @@ from smr import (
     to_grid,
     to_json,
 )
-from smr.formats import read
+from smr.formats import _read_csv_lines, _scan_csv, read
 
 
 def test_grid_rendering_pinned():
@@ -137,6 +137,89 @@ def test_csv_parse_errors():
         from_csv("# m=2 n=3 r=3 s=2 m=9\nrow,col,value\n")
     with pytest.raises(ParseError, match="unknown parameter 'x'"):
         from_csv("# m=2 n=3 r=3 s=2 x=5\nrow,col,value\n")
+
+
+def test_csv_indented_comment_is_the_parameter_comment():
+    # the comment is found on the stripped line, as the header is
+    a, p = seed("S_2x4")
+    text = to_csv(a, p)
+    assert text.startswith("# m=2 n=4 r=4 s=2\n")
+    for indent in ("\t", "  ", " \t "):
+        assert from_csv(indent + text) == (a, p)
+        assert read(indent + text) == (a, p)
+    with pytest.raises(ParseError, match="unknown parameter 'x'"):
+        from_csv("\t# m=2 n=4 r=4 s=2 x=1\nrow,col,value\n")
+
+
+# Each is put into a to_csv text at every position, or replaces the character
+# there.  They cover what JSON and the line loop read differently: brackets
+# that join or split lines, a lone \r (a line break to splitlines, blank to
+# JSON), other line breaks, blank lines, JSON literals, and integers that
+# int() takes and JSON does not (05, +5, 1_0) or that pass the digit limit.
+CSV_MUTATIONS = [
+    "[", "]", "],[", "{", "}", '"', "\r", "\r\n", "\n", "\n\n", "\n \n", " ", "\t",
+    "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0", "05", "+5", "-0", "1_0", "1.5",
+    "1e3", "true", "null", "NaN", '"1"', ",", "#", "1" + "0" * 5000,
+]
+
+
+def _read_outcome(read_csv, text: str):
+    try:
+        return read_csv(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _csv_mutants():
+    a, p = seed("S_2x3")
+    canonical = to_csv(a, p)
+    for text in (canonical, canonical.split("\n", 1)[1]):  # with and without the comment
+        yield text
+        yield text.replace("\n", "\r\n")
+        for at in range(len(text) + 1):
+            for token in CSV_MUTATIONS:
+                yield text[:at] + token + text[at:]
+                yield text[:at] + token + text[at + 1:]
+
+
+def test_scanner_and_line_loop_agree_on_mutated_csv():
+    # from_csv reads through the JSON scanner and, when that raises, through
+    # the line loop; whatever the scanner accepts, the loop reads the same,
+    # and from_csv's result or error text is always the loop's
+    scanned = 0
+    for text in _csv_mutants():
+        expected = _read_outcome(_read_csv_lines, text)
+        assert _read_outcome(from_csv, text) == expected, repr(text)
+        try:
+            result = _scan_csv(text)
+        except (TypeError, ValueError):
+            continue
+        assert result == expected, repr(text)
+        scanned += 1
+    assert scanned > 300  # spaces, tabs, CRLF and -0, among others, go the scanner's way
+
+
+def test_scanner_reads_the_canonical_forms():
+    a, p = seed("S_4x12")
+    text = to_csv(a, p)
+    no_comment = text.split("\n", 1)[1]
+    for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n"), no_comment):
+        assert _scan_csv(variant) == (a, p)
+    # a cell line holding a bracket is the line loop's to word
+    bracketed = text.replace("\n1,1,-1\n", "\n[1,1,-1]\n")
+    with pytest.raises(ValueError):
+        _scan_csv(bracketed)
+    with pytest.raises(ParseError, match=r"line 2: invalid literal for int\(\) with base 10: '\[1'"):
+        from_csv(bracketed)
+    # a "{" could nest past the recursion limit, which is no ValueError
+    deep = text + "1,1," + '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n"
+    with pytest.raises(ParseError, match="line 26: invalid literal"):
+        from_csv(deep)
+    # a lone \r splits the line for splitlines, so the loop sees two short lines
+    with pytest.raises(ParseError, match="line 3: expected three comma-separated fields"):
+        from_csv(text.replace("\n1,2,", "\n1,\r2,", 1))
+    with pytest.raises(ValueError):
+        _scan_csv(text.replace("\n1,2,", "\n1,\r2,", 1))
 
 
 def test_grid_parse_errors():
