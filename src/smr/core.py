@@ -77,11 +77,17 @@ class SupportSet(NamedTuple):
     """The exact multiset of entries a valid array must use.
 
     ``half`` is mr/2 in the even case and (mr-1)/2 in the odd case; the odd
-    case additionally contains zero.
+    case additionally contains zero.  ``v in s`` is True iff ``v`` is an
+    exact ``int`` in the set, not one of the two fields.
     """
 
     half: int
     includes_zero: bool
+
+    def __contains__(self, v: object) -> bool:
+        if type(v) is not int:
+            return False
+        return -self.half <= v <= self.half and (v != 0 or self.includes_zero)
 
     def sorted_values(self) -> tuple[int, ...]:
         negatives = range(-self.half, 0)
@@ -113,8 +119,11 @@ def _checked(rows: int, cols: int, triples: Iterable) -> dict[tuple[int, int], i
     """The one checked door into ``SignedArray``: check the shape, then take each
     ``(row, col, entry)`` once.  A triple of another length, a repeat, a
     non-``int`` index or entry and a cell off the grid are ``ValueError``s;
-    the first defect in input order is raised.  The triples may be tuples or
-    the lists ``json.loads`` returns: the parsers hand theirs in as they are."""
+    a triple that is not iterable and an unhashable index are ``TypeError``s,
+    from the unpacking and the dict lookup.  The first defect in input order
+    is raised.  The triples may be tuples or the lists ``json.loads``
+    returns: the parsers hand theirs in as they are, through
+    ``formats._array``, which turns either error into a ``ParseError``."""
     if type(rows) is not int or type(cols) is not int:
         raise ValueError(f"dimensions are not integers: {rows!r}x{cols!r}")
     if rows < 0 or cols < 0:

@@ -58,13 +58,13 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
         raise ParseError("top-level JSON value must be an object")
     try:
         p = Params(obj["m"], obj["n"], obj["r"], obj["s"])
-        # cell fields pass through as parsed, so SignedArray rejects 1.9, true and "1"
-        a = SignedArray.from_cells(p.m, p.n, obj["cells"])
+        cells = obj["cells"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return a, p
+    # cell fields pass through as parsed, so the door rejects 1.9, true and "1"
+    return _array(p, cells)
 
 
 def to_csv(a: SignedArray, p: Params) -> str:
@@ -92,7 +92,7 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
     """
     try:
         return _scan_csv(text)
-    except (TypeError, ValueError):  # TypeError: max() over a null or a string
+    except ValueError:
         pass
     # read again outside the handler, whose traceback holds the scanned lists
     return _read_csv_lines(text)
@@ -145,15 +145,16 @@ def _head_line(text: str, at: int) -> tuple[str, int]:
 
 
 def _read_csv_lines(text: str) -> tuple[SignedArray, Params]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read the CSV line by line; errors name lines as ``splitlines`` counts
+    them from 1, comment, header and blank lines included."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     params: Params | None = None
-    if lines and lines[0].lstrip().startswith("#"):
-        params = _parse_param_comment(lines[0])
-        lines = lines[1:]
-    if not lines or lines[0].strip().lower() != "row,col,value":
+    if lines and lines[0][1].lstrip().startswith("#"):
+        params = _parse_param_comment(lines.pop(0)[1])
+    if not lines or lines[0][1].strip().lower() != "row,col,value":
         raise ParseError("expected header line 'row,col,value'")
     triples = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected three comma-separated fields")
@@ -161,19 +162,22 @@ def _read_csv_lines(text: str) -> tuple[SignedArray, Params]:
             triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+    return _array(params, triples)
+
+
+def _array(
+    params: Params | None, triples: list, shape: tuple[int, int] | None = None
+) -> tuple[SignedArray, Params]:
+    """The array of ``triples`` with ``params``, or with the inferred ones when
+    None.  Every parser ends here: it is the one way through the checked door,
+    and a door or inference error (``TypeError`` or ``ValueError``) becomes a
+    ``ParseError`` with the same text."""
     try:
-        return _array(params, triples)
-    except ValueError as exc:
+        if params is None:
+            params = _infer_params(triples, shape)
+        return SignedArray.from_cells(params.m, params.n, triples), params
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _array(params: Params | None, triples: list) -> tuple[SignedArray, Params]:
-    """The array of ``triples``, with ``params`` or, when None, the inferred ones."""
-    if params is None:
-        m = max((i for i, _, _ in triples), default=0)
-        n = max((j for _, j, _ in triples), default=0)
-        params = _infer_params(m, n, triples)
-    return SignedArray.from_cells(params.m, params.n, triples), params
 
 
 def _parse_param_comment(line: str) -> Params:
@@ -199,18 +203,17 @@ def _parse_param_comment(line: str) -> Params:
         raise ParseError(str(exc)) from exc
 
 
-def _infer_params(m: int, n: int, cells: list) -> Params:
-    """Parameters of an m x n array whose ``cells`` fill its lines evenly."""
+def _infer_params(cells: list, shape: tuple[int, int] | None) -> Params:
+    """Parameters of an m x n array whose ``cells`` fill its lines evenly; m
+    and n are ``shape`` or, when None, the largest row and column index."""
     if not cells:
-        raise ParseError("cannot infer parameters from an empty cell list")
+        raise ValueError("cannot infer parameters from an empty cell list")
+    m, n = shape or (max(i for i, _, _ in cells), max(j for _, j, _ in cells))
     if m < 1 or n < 1:
-        raise ParseError(f"cannot infer parameters from maximal indices {m}, {n}")
+        raise ValueError(f"cannot infer parameters from maximal indices {m}, {n}")
     if len(cells) % m or len(cells) % n:
-        raise ParseError("cell count is not divisible by the inferred dimensions")
-    try:
-        return Params(m, n, len(cells) // m, len(cells) // n)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ValueError("cell count is not divisible by the inferred dimensions")
+    return Params(m, n, len(cells) // m, len(cells) // n)
 
 
 _RUN = 64  # the most empty fields one shared run string holds
@@ -272,8 +275,7 @@ def from_grid(text: str) -> tuple[SignedArray, Params]:
                     triples.append((i, j, int(token)))
                 except ValueError as exc:
                     raise ParseError(f"bad grid token {token!r}") from exc
-    params = _infer_params(len(rows), n, triples)
-    return SignedArray.from_cells(params.m, params.n, triples), params
+    return _array(None, triples, (len(rows), n))
 
 
 _SNIFF = re.compile(r"\s*(?:(\{)|#|row,col,value(?!\S))", re.IGNORECASE)

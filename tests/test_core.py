@@ -49,6 +49,16 @@ def test_support_set_odd_case_singleton_zero():
     assert s.half == 0 and s.includes_zero
 
 
+def test_support_set_membership_is_of_values():
+    # not of the two fields: half = 4 and includes_zero = False
+    even = support_set(Params(2, 4, 4, 2))
+    assert [v for v in range(-6, 7) if v in even] == [-4, -3, -2, -1, 1, 2, 3, 4]
+    odd = support_set(Params(3, 5, 5, 3))
+    assert [v for v in range(-9, 10) if v in odd] == list(range(-7, 8))
+    # only an exact int is a value: bool and float are not
+    assert True not in even and False not in odd and 1.0 not in even and 0.0 not in odd
+
+
 def test_support_set_spread_parameters():
     s = support_set(Params(8, 12, 3, 2))
     assert s.half == 12 and not s.includes_zero

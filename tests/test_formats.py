@@ -139,6 +139,16 @@ def test_csv_parse_errors():
         from_csv("# m=2 n=3 r=3 s=2 x=5\nrow,col,value\n")
 
 
+def test_csv_errors_name_lines_of_the_file():
+    # lines as splitlines counts them: the comment, the header and blank lines count
+    with pytest.raises(ParseError, match="^line 3: expected three"):
+        from_csv("# m=1 n=1 r=1 s=1\nrow,col,value\n1,1\n")
+    with pytest.raises(ParseError, match="^line 6: invalid literal"):
+        from_csv("\n# m=2 n=3 r=3 s=2\n\nrow,col,value\n \n1,1,x\n")
+    with pytest.raises(ParseError, match="^line 4: expected three"):
+        from_csv("row,col,value\n1,1,1\n\r\n1,2\n")
+
+
 def test_csv_indented_comment_is_the_parameter_comment():
     # the comment is found on the stripped line, as the header is
     a, p = seed("S_2x4")
@@ -209,14 +219,14 @@ def test_scanner_reads_the_canonical_forms():
     bracketed = text.replace("\n1,1,-1\n", "\n[1,1,-1]\n")
     with pytest.raises(ValueError):
         _scan_csv(bracketed)
-    with pytest.raises(ParseError, match=r"line 2: invalid literal for int\(\) with base 10: '\[1'"):
+    with pytest.raises(ParseError, match=r"line 3: invalid literal for int\(\) with base 10: '\[1'"):
         from_csv(bracketed)
     # a "{" could nest past the recursion limit, which is no ValueError
     deep = text + "1,1," + '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n"
-    with pytest.raises(ParseError, match="line 26: invalid literal"):
+    with pytest.raises(ParseError, match="line 27: invalid literal"):
         from_csv(deep)
     # a lone \r splits the line for splitlines, so the loop sees two short lines
-    with pytest.raises(ParseError, match="line 3: expected three comma-separated fields"):
+    with pytest.raises(ParseError, match="line 4: expected three comma-separated fields"):
         from_csv(text.replace("\n1,2,", "\n1,\r2,", 1))
     with pytest.raises(ValueError):
         _scan_csv(text.replace("\n1,2,", "\n1,\r2,", 1))

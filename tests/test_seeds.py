@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from smr import SEED_IDS, entry_multiset, is_shiftable, seed, verify_smr
+from smr import SEED_IDS, entry_multiset, is_shiftable, seed, to_grid, to_json, verify_smr
+from smr.seeds import _CATALOG
 
 from goldens import by_line
 
@@ -86,11 +88,29 @@ def test_seed_result_is_shared():
     assert seed("S_4x12") is seed("S_4x12")
 
 
+# sha256 of to_json(*seed(sid)) for every sid in SEED_IDS order, taken while
+# the catalog was still stored as dense lists with their parameters
+SEEDS_JSON_SHA256 = "44e3154b9cc3803665d9a75d00fc947496c55d9a47cdc059f904660a1ef0cdd3"
+
+
+def test_catalog_is_the_grid_smr_seed_prints():
+    digest = hashlib.sha256()
+    for sid in SEED_IDS:
+        a, p = seed(sid)
+        assert to_grid(a) == _CATALOG[sid], sid
+        digest.update(to_json(a, p).encode())
+    assert digest.hexdigest() == SEEDS_JSON_SHA256
+
+
 def test_corrupted_seed_fails_under_python_O():
-    # the catalog check raises, so python -O, which strips asserts, keeps it
-    code = "import smr.seeds as s; s._CATALOG['S_2x4'][1][0][0] = 2; s.seed('S_2x4')"
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False
-    )
-    assert done.returncode != 0
-    assert "fails validation" in done.stderr
+    # the catalog check raises, so python -O, which strips asserts, keeps it;
+    # an entry changed (the text parses, the axioms fail) and a ragged row
+    # (the text does not parse) raise the same message
+    for corrupt in ("s._CATALOG['S_2x4'].replace(' 1 -2', ' 2 -2', 1)",
+                    "s._CATALOG['S_2x4'] + ' 5\\n'"):
+        code = f"import smr.seeds as s; s._CATALOG['S_2x4'] = {corrupt}; s.seed('S_2x4')"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False
+        )
+        assert done.returncode != 0
+        assert "AssertionError: seed S_2x4 fails validation: " in done.stderr
