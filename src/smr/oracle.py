@@ -1,12 +1,31 @@
-"""Independent exhaustive existence decider for small parameters.
+"""Independent exhaustive existence decider.
 
 With two filled cells per column, every column of a valid array holds some
 value k together with -k (a two-term zero sum), and relabeling columns so
 that column k holds {k, -k} loses no generality.  The search therefore only
 assigns, for each value k from n down to 1, the row receiving +k and the row
-receiving -k.  Pruning uses row capacities and a reachability bound on
-partial row sums; row-relabeling symmetry is broken by touching new rows in
-index order, which also fixes the global sign reflection.
+receiving -k.  Pruning tests each row exactly: can the magnitudes still
+left complete it to r entries and a zero sum on its own?  Row-relabeling
+symmetry is broken by touching new rows in index order, which also fixes
+the global sign reflection.
+
+The row test rests on a fact about integers.  d distinct magnitudes from
+1..R, each signed freely, can sum to exactly t iff d = 0 and t = 0, or
+1 <= d <= R and |t| <= top = dR - d(d-1)/2, with t = top (mod 2) when
+d = R, and t != 0 when d <= 2.  Necessity: top is the sum of the d largest
+magnitudes; d = R takes every magnitude, and flipping the sign of a changes
+the sum by 2a, so the parity is that of 1 + ... + R = top; and a != 0,
+a + b != 0 and a - b != 0 for distinct a, b.  Sufficiency: for d <= 2 this
+is checked by hand (a + b runs over 3..2R-1, a - b over 1..R-1).  For
+d >= 3, the d-sets have every sum from d(d+1)/2 to top (raise one member
+by one at a time), which all-plus signs reach.  Flipping signs subtracts
+twice a subset sum, and the subset sums of {1..d}, and for d < R of
+{1..d-1, d+1}, fill every integer up to their totals.  That reaches every
+smaller |t| of the parity of d(d+1)/2, and for d < R of the other one too.
+With m = 1 or r <= 2, a row holding +n cannot be completed; with m = 2 and
+r = 1, 2 (mod 4), n = r and each row must take all of 1..r, whose sum
+r(r+1)/2 is odd.  So the root has no viable candidate at those points, and
+the test refutes them in one node at any size (an odd mr takes none).
 
 Rows are interchangeable, and the rows in use are exactly the rows holding a
 value, so whether a partial assignment can be completed depends only on the
@@ -87,7 +106,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     An odd m*r leaves no valid support set, so the answer is immediate.
     Values are assigned largest first; large values constrain row sums the
-    most, so the reachability bound prunes early.  ``m``, ``r`` and ``budget``
+    most, so the row test prunes early.  ``m``, ``r`` and ``budget``
     must be ``int``s, ``budget`` >= 0; a search past node ``budget`` is a cutoff.
     """
     _check_ints(m=m, r=r)
@@ -120,10 +139,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         rem = k - 1
         # A row fails when it cannot reach exactly r entries and a zero sum
         # with distinct magnitudes from 1..rem: with d entries to go, when
-        # d > rem or |sum| > d * rem - d * (d - 1) // 2.  Every row passed
-        # with k values left, so d - 1 <= rem.  Placing +k in p and -k in q
-        # changes only those rows, so each row is checked three ways once per
-        # frame: as it stands, with +k and with -k.
+        # not _reach(d, rem, sum), which is _reach(d, rem, -sum).
+        # Placing +k in p and -k in q changes only those rows, so each row is
+        # checked three ways once per frame: as it stands, with +k and with -k.
         bad = []  # rows failing as they stand; p and q must hold them all
         ok_p = []  # (row, its index among the open rows) for rows taking +k
         ok_q = []  # the same for rows taking -k
@@ -134,20 +152,17 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             d = r - count
             if d:  # a full row passed with sum 0 at the last check and still does
                 s = code - count * width
-                if d > rem or abs(s) > d * rem - d * (d - 1) // 2:
+                if not _reach(d, rem, s):
                     bad.append(i)
-                d -= 1
-                top = d * rem - d * (d - 1) // 2
-                if abs(s + k) <= top:
+                if _reach(d - 1, rem, s + k):
                     ok_p.append((i, n_open))
-                if abs(s - k) <= top:
+                if _reach(d - 1, rem, s - k):
                     ok_q.append((i, n_open))
                 n_open += 1
-        d = r - 1
-        fresh_ok = used < m and k <= d * rem - d * (d - 1) // 2  # ±k in an unused row
+        fresh_ok = used < m and _reach(r - 1, rem, k)  # ±k in an unused row
         if fresh_ok:
             ok_p.append((used, n_open))
-        if used < m and r > rem:  # unused rows fail too
+        if used < m and not _reach(r, rem, 0):  # unused rows fail too
             bad += range(used, m)
         nbad = len(bad)
         if nbad > 2:
@@ -256,6 +271,15 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     if not report.ok:  # raised, not asserted: python -O must not skip it
         raise AssertionError(f"search produced an invalid witness: {report}")
     return SearchOutcome("exists", witness, nodes, stats)
+
+
+def _reach(d: int, R: int, t: int) -> bool:
+    """Whether d distinct magnitudes from 1..R, signs free, can sum to t
+    (the lemma in the module docstring)."""
+    if not d:
+        return not t
+    top = d * R - d * (d - 1) // 2
+    return d <= R and -top <= t <= top and (d < R or not (top - t) % 2) and (d > 2 or t != 0)
 
 
 def _pack64(codes: list[int]) -> bytes:

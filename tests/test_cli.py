@@ -247,13 +247,19 @@ def test_oracle_not_exists(capsys):
     assert out.startswith("not_exists")
 
 
+def test_oracle_refutes_deep_m2_at_the_root(capsys):
+    # a row of 1202 distinct magnitudes from 1..1201 is impossible: no search
+    code, out, _ = run_cli(capsys, "oracle", 2, 1202, "--budget", 100000)
+    assert (code, out) == (2, "not_exists (nodes: 1)\n")
+
+
 def test_oracle_cutoff_exit_4(capsys):
     code, out, _ = run_cli(capsys, "oracle", 6, 8, "--budget", 5)
     assert code == 4
     assert out.startswith("cutoff")
-    # 1202 values deep, past the interpreter's recursion limit
-    code, out, _ = run_cli(capsys, "oracle", 2, 1202, "--budget", 100000)
-    assert (code, out) == (4, "cutoff (nodes: 100001)\n")
+    # 1177 values deep when it stops, past the interpreter's recursion limit
+    code, out, _ = run_cli(capsys, "oracle", 2, 1200, "--budget", 2000)
+    assert (code, out) == (4, "cutoff (nodes: 2001)\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from smr import (
     SignedArray,
     cross_check,
     decide,
+    feasibility,
     oracle,
     verify_smr,
 )
@@ -56,8 +58,9 @@ def test_budget_cutoff_reported_honestly():
     assert outcome.status == "cutoff"
     assert outcome.nodes == 6  # first count past the budget stops the search
     # a search deeper than the interpreter's recursion limit still cuts off
-    outcome = decide(2, 1202, budget=20000)
-    assert (outcome.status, outcome.nodes) == ("cutoff", 20001)
+    outcome = decide(2, 1200, budget=2000)
+    assert (outcome.status, outcome.nodes) == ("cutoff", 2001)
+    assert outcome.stats.max_depth == 1177 > sys.getrecursionlimit()
 
 
 @pytest.mark.parametrize("budget", [-1, -3, True, False, 5.0, "5", None])
@@ -92,18 +95,18 @@ def test_every_budget_up_to_the_node_count(m, r):
 # counted one candidate at a time
 PINNED_COUNTS = {
     (8, 3, None): ("exists", 19259, (106, 350, 362, 12)),
-    (4, 15, None): ("exists", 1668, (73, 124, 154, 30)),
-    (4, 17, None): ("exists", 2822, (136, 311, 345, 34)),
-    (3, 20, None): ("exists", 6515, (465, 1071, 1101, 30)),
-    (6, 9, None): ("exists", 17234, (1192, 1509, 1536, 27)),
-    (7, 10, None): ("exists", 19307, (485, 936, 971, 35)),
-    (4, 19, None): ("exists", 665, (148, 237, 275, 38)),
-    (2, 17, None): ("not_exists", 315, (95, 157, 158, 17)),
-    (2, 18, None): ("not_exists", 371, (116, 185, 186, 18)),
-    (2, 21, None): ("not_exists", 607, (207, 303, 304, 21)),
-    (8, 5, 100_000): ("cutoff", 100_001, (1622, 1825, 1838, 17)),
-    (10, 5, 100_000): ("cutoff", 100_001, (644, 1143, 1159, 22)),
-    (2, 1202, 20_000): ("cutoff", 20_001, (1873, 9003, 10177, 1202)),
+    (4, 15, None): ("exists", 1656, (73, 123, 153, 30)),
+    (4, 17, None): ("exists", 1344, (32, 102, 136, 34)),
+    (3, 20, None): ("exists", 4637, (292, 758, 788, 30)),
+    (6, 9, None): ("exists", 89, (0, 0, 27, 27)),
+    (7, 10, None): ("exists", 11607, (209, 541, 576, 35)),
+    (4, 19, None): ("exists", 215, (0, 12, 50, 38)),
+    (2, 17, None): ("not_exists", 1, (0, 0, 1, 1)),
+    (2, 18, None): ("not_exists", 1, (0, 0, 1, 1)),
+    (2, 21, None): ("not_exists", 1, (0, 0, 1, 1)),
+    (8, 5, 100_000): ("cutoff", 100_001, (1534, 1820, 1835, 17)),
+    (10, 5, 100_000): ("cutoff", 100_001, (581, 1138, 1156, 22)),
+    (2, 1202, 20_000): ("not_exists", 1, (0, 0, 1, 1)),
 }
 
 
@@ -182,20 +185,20 @@ def test_full_table_changes_no_answer(monkeypatch):
     assert digest == PINNED_DIGEST
     for (m, r), outcome in outcomes.items():
         assert outcome.stats.table_entries <= 500 // (8 * m + 75), (m, r)
-    assert outcomes[2, 21].stats.table_entries == 500 // (8 * 2 + 75)
+    full = outcomes[4, 15].stats
+    assert full.table_entries == 500 // (8 * 4 + 75) and full.table_hits > 0
 
 
 def test_search_stats():
     outcome = decide(4, 5)
-    assert (outcome.status, outcome.nodes) == ("exists", 87)
+    assert (outcome.status, outcome.nodes) == ("exists", 63)
     stats = outcome.stats
     assert stats.max_depth == 10  # every value placed
     assert stats.table_entries <= stats.frames_pushed <= outcome.nodes
-    assert stats.table_hits > 0
-    refuted = decide(2, 21).stats
-    assert refuted.table_hits > 0 and refuted.max_depth == 21
+    longer = decide(4, 17).stats
+    assert longer.table_hits > 0 and longer.max_depth == 34
     # stats take no part in equality, and the outcome still builds positionally
-    assert outcome == SearchOutcome("exists", outcome.witness, 87)
+    assert outcome == SearchOutcome("exists", outcome.witness, 63)
     assert decide(3, 3).stats == SearchStats()
 
 
@@ -214,6 +217,56 @@ def test_every_node_is_pruned_a_hit_a_push_or_the_last():
             stats.pruned + stats.table_hits + max(stats.frames_pushed - 1, 0) + last
         ), (m, r, budget)
     assert decide(8, 5, 100_000).stats.pruned > 90_000
+
+
+def signed_subset_sums(max_r: int) -> dict[tuple[int, int], set[int]]:
+    """(d, R) -> every sum of d distinct magnitudes from 1..R with any signs,
+    for R <= max_r, by adding the magnitudes one at a time."""
+    sums = {(0, 0): {0}}
+    for a in range(1, max_r + 1):
+        for d in range(a + 1):
+            grown = sums.get((d, a - 1), set())
+            if d:
+                grown = grown | {s + e for s in sums[d - 1, a - 1] for e in (a, -a)}
+            sums[d, a] = grown
+    return sums
+
+
+def test_reach_is_exact():
+    sums = signed_subset_sums(12)
+    for R in range(13):
+        for d in range(R + 2):
+            reachable = sums.get((d, R), set())
+            for t in range(-R * R - 2, R * R + 3):
+                assert oracle._reach(d, R, t) == (t in reachable), (d, R, t)
+
+
+def test_every_refutation_is_settled_at_the_root():
+    # the exact row test leaves the root no viable candidate at any point the
+    # criterion rejects, however large
+    rng = random.Random(26)
+    points = [(2, r) for r in range(1, 200) if r % 4 in (1, 2)]
+    points += [(2, 4 * rng.randrange(50, 250_001) + rng.choice((1, 2))) for _ in range(50)]
+    points += [(2, 10**6 + 1), (2, 10**6 + 2)]
+    points += [(m, r) for r in (1, 2) for m in list(range(1, 100)) + [10**4, 10**5 - 1, 10**5]]
+    points += [(m, r) for m in range(1, 41) for r in range(1, 41)]
+    points += [(rng.randint(1, 300), rng.randint(1, 300)) for _ in range(1000)]
+    refuted = 0
+    for m, r in points:
+        if feasibility(m, m * r // 2, r).feasible:
+            continue
+        outcome = decide(m, r)
+        assert outcome.status == "not_exists" and outcome.nodes <= 1, (m, r, outcome)
+        refuted += 1
+    assert refuted > 1000
+
+
+@pytest.mark.parametrize("m,r", [(8, 13), (9, 10), (13, 14)])
+def test_former_cutoffs_find_witnesses(m, r):
+    # each cut off at 2M nodes under the bound test on partial row sums
+    outcome = decide(m, r, budget=2_000_000)
+    assert outcome.status == "exists"
+    assert verify_smr(outcome.witness, Params(m, m * r // 2, r, 2)).ok
 
 
 def test_huge_codes_still_keyed_exactly():
