@@ -12,7 +12,9 @@ runs for fixed arguments.
 # same with or without them.  `main` builds its parser once per process, on
 # its first call (see `build_parser`), and `--help` returns 0 from `main`.
 # A request too large for memory (a huge shape, or the state of a search
-# over a huge m) ends in one stderr line and exit 1, not a traceback.
+# over a huge m) ends in one stderr line and exit 1, not a traceback; a grid
+# that `gen` can size up front as too large is a usage error.  Each command
+# imports the modules it runs, so `verify` loads no construction or search.
 
 from __future__ import annotations
 
@@ -22,13 +24,13 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import formats
 from .core import Params, verify_smr
-from .dispatch import InfeasibleError, RouteTrace, construct, feasibility
-from .oracle import DEFAULT_BUDGET, cross_check, decide
-from .seeds import seed
+
+if TYPE_CHECKING:
+    from .dispatch import RouteTrace
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -36,6 +38,9 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_CUTOFF = 4
 EXIT_USAGE = 64
+
+# the largest grid `gen` writes; a larger one is refused before it is built
+_GRID_BYTES = 1 << 30
 
 
 class _UsageError(Exception):
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="decide existence by exhaustive search")
     p_oracle.add_argument("m", type=int)
     p_oracle.add_argument("r", type=int)
-    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_oracle.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
     p_oracle.add_argument("--witness", action="store_true")
     p_oracle.add_argument(
         "--stats", action="store_true",
@@ -126,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cross.add_argument("--max-m", type=int, required=True)
     p_cross.add_argument("--max-r", type=int, required=True)
-    p_cross.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_cross.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
 
     p_sweep = sub.add_parser(
         "sweep", help="construct and verify every feasible point in a parameter grid"
@@ -137,12 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_bytes(m: int, n: int) -> int:
+    """The length of `to_grid`'s text for a constructed (m, n; r, 2) array:
+    m rows of n fields, each as wide as its longest entry, -n (it holds
+    +-1..+-n), plus a separator."""
+    return m * n * (len(str(-n)) + 1)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        array, trace = construct(args.m, args.n, args.r)
-    except InfeasibleError as exc:
-        print(str(exc.verdict), file=sys.stderr)
+    from .dispatch import construct, feasibility
+
+    verdict = feasibility(args.m, args.n, args.r)
+    if not verdict.feasible:
+        print(verdict, file=sys.stderr)
         return EXIT_INFEASIBLE
+    size = _grid_bytes(args.m, args.n) if args.format == "grid" else 0
+    if size > _GRID_BYTES:
+        raise _UsageError(f"the grid would take {size} bytes, over 1 GiB: use --json or --csv")
+    array, trace = construct(args.m, args.n, args.r)
     params = Params(args.m, args.n, args.r, 2)
     sys.stdout.write(_render(array, params, args.format))
     if args.trace:
@@ -169,12 +186,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from .dispatch import feasibility
+
     verdict = feasibility(args.m, args.n, args.r)
     print(verdict)
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_seed(args: argparse.Namespace) -> int:
+    from .seeds import seed
+
     try:
         array, params = seed(args.id)
     except KeyError as exc:
@@ -185,6 +206,8 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import decide
+
     budget = _budget(args)
     start = time.perf_counter()
     outcome = decide(args.m, args.r, budget)
@@ -205,6 +228,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    from .oracle import cross_check
+
     report = cross_check(args.max_m, args.max_r, _budget(args))
     print(report)
     if report.disagreements:
@@ -215,6 +240,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .dispatch import InfeasibleError, construct
+
     built = 0
     rejected = 0
     failures: list[str] = []

@@ -46,9 +46,21 @@ only reads the codes; the main loop places +k in row p and -k in row q,
 lifts both again on a table hit, and otherwise opens a frame that carries
 (p, q), so that popping it lifts them and the witness is read off the
 frames.  Those two rows are all a candidate changes, so each row is
-checked once per value, as it stands, with +k and with -k; a candidate is
+tested three ways, as it stands, with +k and with -k; a candidate is
 viable iff the rows failing as they stand lie in {p, q}, p passes with +k
-and q with -k.
+and q with -k.  The lowest unused row is tested the same way, as the row
+of code 0.
+
+The three answers for a row depend only on k and its code: the code fixes
+the row's count and sum, k fixes the magnitudes 1..k-1 left, and r is fixed
+for the call.  So one call of ``_row_test`` computes all three as a flag,
+and a memo local to each call keeps that flag per value and row code.
+Sibling frames differ in two rows, so each distinct row code is tested once
+per value, and most rows of a frame are a dict lookup.  The root is the
+one frame of value n, so it keeps no flags.  Since a flag is a function of
+(k, code), the memo changes no candidate, node count or witness.  It stops
+growing at about ``_MEMO_BYTES`` = 16 MiB, about 100 bytes an entry, so
+near 168k entries; a full memo only tests again.
 
 Most candidates are not viable, so they are counted in bulk, not visited:
 the candidates of one value are a fixed sequence, row of +k first, so the
@@ -75,6 +87,8 @@ from .dispatch import Verdict, feasibility
 DEFAULT_BUDGET = 10**8
 # the failed-state table stops growing at about this many bytes
 _TABLE_BYTES = 64 << 20
+# the row-test memo stops growing at about this many bytes, 100 an entry
+_MEMO_BYTES = 16 << 20
 
 
 class SearchStats(NamedTuple):
@@ -128,6 +142,12 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     cap = _TABLE_BYTES // ((8 if fits else 44) * m + 75)
     nodes = hits = pushed = depth = pruned = 0
 
+    # memo[k][code]: _row_test's flags for a row of that code at value k, a
+    # dict made on k's first frame; a full memo tests again instead of storing
+    memo: dict[int, dict[int, int]] = {}
+    room = _MEMO_BYTES // 100  # entries the memo may still take
+    full = r * width  # the code of a full row: r entries, sum 0
+
     def candidates(k: int, used: int) -> Iterator[tuple[int, int, int]]:
         # Rows 0..used-1 are in use.  Each sign of k goes to an open row in
         # use or to the lowest unused row.  The candidates run over rows p of
@@ -136,34 +156,43 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         # passed over since the previous yield, and last (-1, -1, rejected)
         # for any trailing rejects.  It reads codes once, here, and never
         # writes them.
-        rem = k - 1
-        # A row fails when it cannot reach exactly r entries and a zero sum
-        # with distinct magnitudes from 1..rem: with d entries to go, when
-        # not _reach(d, rem, sum), which is _reach(d, rem, -sum).
+        nonlocal room
+        if k < n:
+            flags = memo.get(k)
+            if flags is None:
+                flags = memo[k] = {}
+        else:  # the root, the one frame of value n, keeps no flags
+            flags = {}
         # Placing +k in p and -k in q changes only those rows, so each row is
-        # checked three ways once per frame: as it stands, with +k and with -k.
+        # tested three ways, as it stands, with +k and with -k: one _row_test
+        # per row code and value.  The lowest unused row, of code 0, is tested
+        # last, as if open; -k in it is +k by symmetry.
         bad = []  # rows failing as they stand; p and q must hold them all
-        ok_p = []  # (row, its index among the open rows) for rows taking +k
+        ok_p = []  # (row, its index among the tested rows) for rows taking +k
         ok_q = []  # the same for rows taking -k
         n_open = 0
-        for i in range(used):
+        for i in range(used + (used < m)):
             code = codes[i]
-            count = (code + nr) // width
-            d = r - count
-            if d:  # a full row passed with sum 0 at the last check and still does
-                s = code - count * width
-                if not _reach(d, rem, s):
-                    bad.append(i)
-                if _reach(d - 1, rem, s + k):
-                    ok_p.append((i, n_open))
-                if _reach(d - 1, rem, s - k):
-                    ok_q.append((i, n_open))
-                n_open += 1
-        fresh_ok = used < m and _reach(r - 1, rem, k)  # ±k in an unused row
-        if fresh_ok:
-            ok_p.append((used, n_open))
-        if used < m and not _reach(r, rem, 0):  # unused rows fail too
-            bad += range(used, m)
+            if code == full:  # a full row passed with sum 0 and still does
+                continue
+            f = flags.get(code)
+            if f is None:
+                count = (code + nr) // width
+                f = _row_test(r - count, k - 1, code - count * width, k)
+                if room > 0 and k < n:
+                    flags[code] = f
+                    room -= 1
+            if f & 1:
+                bad.append(i)
+            if f & 2:
+                ok_p.append((i, n_open))
+            if f & 4:
+                ok_q.append((i, n_open))
+            n_open += 1
+        if used < m:  # the last row tested was the unused one: not open
+            n_open -= 1
+            if f & 1:  # unused rows fail too
+                bad += range(used + 1, m)
         nbad = len(bad)
         if nbad > 2:
             ok_p = []  # p and q cannot hold three failing rows
@@ -188,14 +217,14 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             else:
                 continue  # two failing rows besides p
             start = ip * size
-            for q, j in ok_q:
+            for q, j in ok_q:  # the lowest unused row comes last
                 if q != p and (must < 0 or q == must):
                     i = start + j - (j > ip)
                     yield p, q, i - seen
                     seen = i + 1
-            q = used + (p == used)  # the lowest unused row left
-            if q < m and fresh_ok and (must < 0 or q == must):
-                i = start + n_open - (p < used)
+            q = used + 1  # +k in the lowest unused row: -k in the next one
+            if p == used and q < m and (must < 0 or q == must):
+                i = start + n_open
                 yield p, q, i - seen
                 seen = i + 1
         if total > seen:
@@ -273,13 +302,33 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     return SearchOutcome("exists", witness, nodes, stats)
 
 
-def _reach(d: int, R: int, t: int) -> bool:
-    """Whether d distinct magnitudes from 1..R, signs free, can sum to t
-    (the lemma in the module docstring)."""
-    if not d:
-        return not t
-    top = d * R - d * (d - 1) // 2
-    return d <= R and -top <= t <= top and (d < R or not (top - t) % 2) and (d > 2 or t != 0)
+def _row_test(d: int, R: int, s: int, k: int) -> int:
+    """The row test of a row with d >= 1 entries to go and sum s, with the
+    magnitudes 1..R left besides k: 1 if it fails as it stands, plus 2 if it
+    passes with +k, plus 4 if it passes with -k.  A row passes iff distinct
+    magnitudes from 1..R, one per entry to go, can sum to minus its sum, or
+    to its sum (the lemma in the module docstring, for d and d - 1)."""
+    e = d - 1  # entries to go once the row takes k
+    if e > R:
+        return 1
+    top = e * R - e * (e - 1) // 2  # and top + R - e for d entries
+    flags = 0
+    if d > R:
+        flags = 1
+    else:
+        t = top + R - e
+        if s > t or s < -t or (d == R and (t - s) % 2) or (d <= 2 and not s):
+            flags = 1
+    a, b = s + k, s - k
+    if not e:
+        return flags | (not a) << 1 | (not b) << 2
+    if e == R and (top - a) % 2:  # a and b have the same parity
+        return flags
+    if -top <= a <= top and (e > 2 or a):
+        flags |= 2
+    if -top <= b <= top and (e > 2 or b):
+        flags |= 4
+    return flags
 
 
 def _pack64(codes: list[int]) -> bytes:

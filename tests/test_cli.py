@@ -10,13 +10,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr import SEED_IDS, Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
-from smr.cli import build_parser, main
+from smr.cli import _grid_bytes, build_parser, main
+from smr.oracle import DEFAULT_BUDGET
 
 from goldens import GRID_2x12, golden
 
@@ -533,3 +535,34 @@ def test_verify_survives_one_mutation(tmp_path_factory, case):
     if kind == "none":
         assert out.getvalue() == "pass\n"
         assert (from_json if fmt == "json" else from_csv)(text) == (a, p)
+
+
+def test_budget_default_is_the_oracle_default():
+    for argv in (["oracle", "2", "5"], ["crosscheck", "--max-m", "2", "--max-r", "2"]):
+        assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("m,n,r", [(2, 4, 4), (2, 12, 12), (3, 6, 4), (7, 14, 4), (9, 63, 14), (40, 100, 5)])
+def test_grid_bytes_is_the_grid_length(m, n, r):
+    assert _grid_bytes(m, n) == len(to_grid(construct(m, n, r)[0]))
+
+
+def test_oversize_grid_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "gen", "2000", "1001000", "1001"], capture_output=True,
+        check=False,
+    )
+    elapsed = time.perf_counter() - start
+    lines = done.stderr.decode().splitlines()
+    assert (done.returncode, done.stdout, len(lines)) == (64, b"", 1), lines
+    assert lines[0] == (
+        "usage error: the grid would take 18018000000 bytes, over 1 GiB: use --json or --csv"
+    )
+    assert elapsed < 1
+    # an infeasible request of that size is still infeasible, not a usage error
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "gen", "2000", "1001001", "1001"], capture_output=True,
+        check=False,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")

@@ -7,7 +7,7 @@ import pickle
 import subprocess
 import sys
 
-from smr import construct, to_grid
+from smr import construct, seed, to_grid, to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SUBMODULES = ["core", "direct", "dispatch", "formats", "oracle", "seeds", "transforms"]
@@ -32,6 +32,19 @@ def test_bare_import_loads_no_submodule():
 def test_seed_loads_core_formats_and_seeds_only():
     out = _python(f"import smr, sys; smr.seed('S_2x4'); print({LOADED})")
     assert out == "['smr.core', 'smr.formats', 'smr.seeds']\n"
+
+
+def test_cli_verify_loads_core_formats_and_cli_only(tmp_path):
+    # each command imports what it runs: verify needs no construction or search
+    path = tmp_path / "a.json"
+    path.write_text(to_json(*seed("S_2x4")), encoding="utf-8")
+    out = _python(
+        "import contextlib, io, sys, smr.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = smr.cli.main(['verify', {str(path)!r}])\n"
+        f"print(code, {LOADED})\n"
+    )
+    assert out == "0 ['smr.cli', 'smr.core', 'smr.formats']\n"
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():

@@ -232,13 +232,65 @@ def signed_subset_sums(max_r: int) -> dict[tuple[int, int], set[int]]:
     return sums
 
 
+def reach(d: int, R: int, t: int) -> bool:
+    """The lemma as oracle._row_test holds it: d magnitudes from 1..R can
+    sum to t iff a row with d + 1 entries to go and sum -t - 1 passes with +1."""
+    return bool(oracle._row_test(d + 1, R, -t - 1, 1) & 2)
+
+
 def test_reach_is_exact():
     sums = signed_subset_sums(12)
     for R in range(13):
         for d in range(R + 2):
             reachable = sums.get((d, R), set())
             for t in range(-R * R - 2, R * R + 3):
-                assert oracle._reach(d, R, t) == (t in reachable), (d, R, t)
+                assert reach(d, R, t) == (t in reachable), (d, R, t)
+
+
+def test_row_test_is_exact():
+    # every flag of a row with d entries to go and sum s, at value k with
+    # 1..R left: fails as it stands, passes with +k, passes with -k
+    sums = signed_subset_sums(12)
+    for R in range(13):
+        for d in range(1, R + 3):
+            now, then = sums.get((d, R), set()), sums.get((d - 1, R), set())
+            for k in range(1, R + 2):
+                for s in range(-R * R - 2, R * R + 3):
+                    want = (-s not in now) | (-s - k in then) << 1 | (-s + k in then) << 2
+                    assert oracle._row_test(d, R, s, k) == want, (d, R, s, k)
+            # the lowest unused row is code 0: its flag for -k is that for +k
+            for k in range(1, R + 2):
+                flags = oracle._row_test(d, R, 0, k)
+                assert flags >> 1 & 1 == flags >> 2 & 1 == (k in then), (d, R, k)
+
+
+def test_each_row_code_is_tested_once_per_value(monkeypatch):
+    # with room in the memo no (d, R, s, k) is tested twice; a full memo tests
+    # the same rows again, to the same node count
+    tests = []
+    row_test, memo_bytes = oracle._row_test, oracle._MEMO_BYTES
+    monkeypatch.setattr(oracle, "_row_test", lambda *args: tests.append(args) or row_test(*args))
+    for m, r in [(8, 3), (4, 15)]:
+        runs = []
+        for cap in (memo_bytes, 0):
+            monkeypatch.setattr(oracle, "_MEMO_BYTES", cap)
+            tests.clear()
+            runs.append((decide(m, r).nodes, list(tests)))
+        (nodes, once), (full_nodes, again) = runs
+        assert len(once) == len(set(once)) and set(again) == set(once), (m, r)
+        assert len(again) > len(once) and nodes == full_nodes, (m, r)
+
+
+@pytest.mark.parametrize("memo_bytes", [0, 500])
+def test_full_memo_changes_nothing(monkeypatch, memo_bytes):
+    # a memo that takes no entry, or a handful, only tests rows again
+    points = [(m, r, None) for m in range(1, 7) for r in range(1, 9)]
+    points += [(m, r, None) for m, r in HARD_POINTS] + [(8, 5, 100_000)]
+    outcomes = [decide(m, r) if budget is None else decide(m, r, budget) for m, r, budget in points]
+    monkeypatch.setattr(oracle, "_MEMO_BYTES", memo_bytes)
+    for (m, r, budget), full in zip(points, outcomes):
+        outcome = decide(m, r) if budget is None else decide(m, r, budget)
+        assert outcome == full and outcome.stats == full.stats, (m, r)
 
 
 def test_every_refutation_is_settled_at_the_root():
