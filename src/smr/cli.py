@@ -150,7 +150,8 @@ def _grid_bytes(m: int, n: int) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .dispatch import construct, feasibility
+    from .criterion import feasibility
+    from .dispatch import construct
 
     verdict = feasibility(args.m, args.n, args.r)
     if not verdict.feasible:
@@ -186,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    from .dispatch import feasibility
+    from .criterion import feasibility
 
     verdict = feasibility(args.m, args.n, args.r)
     print(verdict)

@@ -1,11 +1,8 @@
-"""Feasibility decision and deterministic construction routing.
+"""Deterministic construction routing.
 
-An (m, n; r, 2) rectangle exists iff either m = 2 with n = r congruent to
-0 or 3 mod 4, or m >= 3, r >= 3 and mr = 2n.  ``feasibility`` encodes that
-criterion as a total function with machine-readable reason codes;
-``construct`` routes every feasible point through a fixed pipeline of seeds,
-inflations, joins and direct blocks, recording the applied operator sequence
-so a result can be replayed exactly.
+``construct`` routes every point that ``criterion.feasibility`` admits
+through a fixed pipeline of seeds, inflations, joins and direct blocks,
+recording the applied operator sequence so a result can be replayed exactly.
 
 ``replay`` runs a trace on ``transforms.Layout`` values: seeds and spread
 blocks enter as one-part layouts, the inflations and joins rearrange parts,
@@ -17,17 +14,11 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .core import SignedArray, _check_ints, is_shiftable
+from .core import SignedArray, is_shiftable
+from .criterion import Verdict, feasibility
 from .direct import CompactBlock, five_column_block, spread, three_column_block
 from .seeds import seed
 from .transforms import Layout
-
-class Verdict(NamedTuple):
-    feasible: bool
-    reason: str
-
-    def __str__(self) -> str:
-        return f"{'feasible' if self.feasible else 'infeasible'}: {self.reason}"
 
 
 class InfeasibleError(ValueError):
@@ -36,35 +27,6 @@ class InfeasibleError(ValueError):
     def __init__(self, m: int, n: int, r: int, verdict: Verdict):
         super().__init__(f"no ({m}, {n}; {r}, 2) rectangle exists ({verdict.reason})")
         self.verdict = verdict
-
-
-def feasibility(m: int, n: int, r: int) -> Verdict:
-    """Total existence decision for (m, n; r, 2).
-
-    Reason precedence for overlapping failures: nonpositive or too-small m
-    (or nonpositive n, r) reports FAIL_SMALL; at m = 2 a count mismatch n != r
-    reports FAIL_ARITH and a bad residue FAIL_M2_RESIDUE; for m >= 3, two odd
-    degrees report FAIL_PARITY ahead of the count identity FAIL_ARITH, and a
-    row degree below 3 reports FAIL_SMALL.  An m, n or r that is not an
-    exact ``int`` (``bool`` included) raises ValueError.
-    """
-    if not type(m) is type(n) is type(r) is int:  # one test on the fast path
-        _check_ints(m=m, n=n, r=r)
-    if m < 2 or n < 1 or r < 1:
-        return Verdict(False, "FAIL_SMALL")
-    if m == 2:
-        if n != r:
-            return Verdict(False, "FAIL_ARITH")
-        if r % 4 in (0, 3):
-            return Verdict(True, "OK_M2")
-        return Verdict(False, "FAIL_M2_RESIDUE")
-    if m % 2 == 1 and r % 2 == 1:
-        return Verdict(False, "FAIL_PARITY")
-    if m * r != 2 * n:
-        return Verdict(False, "FAIL_ARITH")
-    if r < 3:
-        return Verdict(False, "FAIL_SMALL")
-    return Verdict(True, "OK_GENERAL")
 
 
 class TraceStep(NamedTuple):
@@ -127,7 +89,8 @@ def _kind(kind: type) -> str:
 def replay(trace: RouteTrace) -> SignedArray:
     """Execute a trace and return the resulting array.
 
-    A malformed trace raises ValueError naming the failing step: an unknown
+    A malformed trace raises ValueError naming the failing step: a step that
+    is not a TraceStep of a str op and (str, value) argument pairs, an unknown
     op or seed id, a missing argument or one not of the exact type (no
     coercion, so k=2.7, k="3" and k=True fail), too few operands or
     one of the wrong kind, or a failed precondition of the operator (raised
@@ -141,9 +104,9 @@ def replay(trace: RouteTrace) -> SignedArray:
         try:
             _apply(st, stack)
         except KeyError as exc:  # unknown seed id
-            raise ValueError(f"trace step {number} ({st}): {exc.args[0]}") from exc
+            raise ValueError(f"trace step {number} ({_label(st)}): {exc.args[0]}") from exc
         except ValueError as exc:
-            raise type(exc)(f"trace step {number} ({st}): {exc}") from exc
+            raise type(exc)(f"trace step {number} ({_label(st)}): {exc}") from exc
     if len(stack) != 1:
         raise ValueError(f"trace left {len(stack)} operands on the stack")
     if not isinstance(stack[0], Layout):
@@ -151,8 +114,26 @@ def replay(trace: RouteTrace) -> SignedArray:
     return stack[0].materialize()
 
 
+def _well_formed(st: object) -> bool:
+    """Whether st is a TraceStep of a str op and a tuple of (str, value) pairs."""
+    if not isinstance(st, TraceStep) or type(st.op) is not str or type(st.args) is not tuple:
+        return False
+    for pair in st.args:  # a loop, not all(): every step of every construct runs it
+        if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+            return False
+    return True
+
+
+def _label(st: object) -> str:
+    """A step as messages show it: its trace line, or its repr when it is
+    malformed, whose trace line could fail to render."""
+    return str(st) if _well_formed(st) else repr(st)
+
+
 def _apply(st: TraceStep, stack: list[Layout | CompactBlock]) -> None:
     """Pop the operands of one step and push its result."""
+    if not _well_formed(st):
+        raise ValueError("not a TraceStep of an op name and (name, value) pairs")
     if st.op not in _OPS:
         raise ValueError(f"unknown trace op {st.op!r}")
     fn, kinds, params = _OPS[st.op]

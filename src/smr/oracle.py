@@ -73,7 +73,9 @@ that runs out among the rejects stops the search at node budget + 1 as
 before.  ``SearchStats.pruned`` is the number of rejects, summed per step.
 
 ``decide`` answers existence by exhaustion and never guesses: a node budget
-overrun is reported as a cutoff, not as a decision.
+overrun is reported as a cutoff, not as a decision.  The module imports only
+``core`` and ``criterion``, against which ``cross_check`` compares the
+search: it shares no code with the constructions and loads none of them.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from array import array
 from typing import Iterator, NamedTuple
 
 from .core import Params, SignedArray, _check_ints, verify_smr
-from .dispatch import Verdict, feasibility
+from .criterion import Verdict, feasibility
 
 DEFAULT_BUDGET = 10**8
 # the failed-state table stops growing at about this many bytes

@@ -394,6 +394,18 @@ def test_replay_equals_operator_chain_on_edge_traces(steps):
             JoinMismatchError,
             r"step 4 .*row counts differ: 3 vs 2",
         ),
+        # a step of the wrong shape is named by its repr, which cannot fail
+        ([TraceStep("seed", 5)], ValueError, r"step 1 \(TraceStep\(op='seed', args=5\)\): not a TraceStep"),
+        ([TraceStep(["seed"], ())], ValueError, r"step 1 \(TraceStep\(op=\['seed'\], args=\(\)\)\): not a"),
+        ([5], ValueError, r"step 1 \(5\): not a TraceStep of an op name and \(name, value\) pairs"),
+        ([S_2x4, ("seed", ())], ValueError, r"step 2 \(\('seed', \(\)\)\): not a TraceStep"),
+        (
+            [TraceStep("seed", (("id", "S_2x4", 3),))],
+            ValueError,
+            r"step 1 \(TraceStep\(op='seed', args=\(\('id', 'S_2x4', 3\),\)\)\): not a TraceStep",
+        ),
+        ([TraceStep("seed", ((7, "S_2x4"),))], ValueError, r"step 1 \(TraceStep\(op='seed', args=\(\(7, "),
+        ([TraceStep("seed", [("id", "S_2x4")])], ValueError, r"step 1 \(TraceStep\(op='seed', args=\["),
     ],
 )
 def test_replay_rejects_bad_traces(steps, error, message):

@@ -10,7 +10,7 @@ import sys
 from smr import construct, seed, to_grid, to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-SUBMODULES = ["core", "direct", "dispatch", "formats", "oracle", "seeds", "transforms"]
+SUBMODULES = ["core", "criterion", "direct", "dispatch", "formats", "oracle", "seeds", "transforms"]
 LOADED = "sorted(m for m in sys.modules if m.startswith('smr.'))"
 
 
@@ -45,6 +45,35 @@ def test_cli_verify_loads_core_formats_and_cli_only(tmp_path):
         f"print(code, {LOADED})\n"
     )
     assert out == "0 ['smr.cli', 'smr.core', 'smr.formats']\n"
+
+
+def _cli_loads(argv: list[str]) -> str:
+    """The exit code of smr.cli.main(argv) and the smr modules it loaded."""
+    return _python(
+        "import contextlib, io, sys, smr.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = smr.cli.main({argv!r})\n"
+        f"print(code, {LOADED})\n"
+    )
+
+
+def test_oracle_loads_core_and_criterion_only():
+    # the search is checked against the criterion, not built from the constructions
+    out = _python(f"import smr.oracle, sys; print({LOADED})")
+    assert out == "['smr.core', 'smr.criterion', 'smr.oracle']\n"
+
+
+def test_cli_decide_loads_core_formats_criterion_and_cli_only():
+    assert _cli_loads(["decide", "6", "9", "3"]) == (
+        "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats']\n"
+    )
+
+
+def test_cli_search_commands_load_no_construction():
+    for argv in (["oracle", "4", "4", "--witness"], ["crosscheck", "--max-m", "4", "--max-r", "4"]):
+        assert _cli_loads(argv) == (
+            "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats', 'smr.oracle']\n"
+        ), argv
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():
