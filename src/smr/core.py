@@ -54,8 +54,7 @@ class Params(_Checked, namedtuple("Params", "m n r s")):
     """The parameter quadruple (m, n, r, s).
 
     m, n are the row and column counts; r and s are the filled-cell counts
-    per row and per column.  Feasible parameters satisfy mr = ns, r <= n and
-    s <= m.
+    per row and per column, with mr = ns and r <= n, which give s <= m.
     """
 
     __slots__ = ()
@@ -66,10 +65,8 @@ class Params(_Checked, namedtuple("Params", "m n r s")):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if m * r != n * s:
             raise ValueError(f"cell-count mismatch: m*r = {m * r} but n*s = {n * s}")
-        if r > n:
+        if r > n:  # then s = mr/n <= m too
             raise ValueError(f"r = {r} exceeds column count n = {n}")
-        if s > m:
-            raise ValueError(f"s = {s} exceeds row count m = {m}")
         return super().__new__(cls, m, n, r, s)
 
 

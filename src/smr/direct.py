@@ -17,15 +17,13 @@ their own shape by construction.  ``CompactBlock`` checks the block
 invariants that spreading relies on, once: its array is a ``SignedArray``,
 which cannot change afterwards.  A spread output is a leaf of the layouts
 that ``dispatch.replay`` composes: a join takes it as one part and copies
-no cell of it until the final array is materialized.  Its layout is made
-with no flag, so it is not known shiftable (its rows hold an odd number of
-cells, so it is not), and neither is a join that takes it as the fixed
-operand; of the leaves, only a seed's layout carries its scanned flag.
+no cell of it until the final array is materialized.  It is not shiftable:
+its rows hold an odd number of cells.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Literal
 
 from .core import SignedArray, SupportSet, _Checked, _is_support, entry_multiset
@@ -49,16 +47,14 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
         if kind not in {3: ("three",), 5: ("five", "five_repaired")}.get(width, ()):
             raise BlockError(f"a block of width {width} cannot be of kind {kind!r}")
         cells = array.cells
-        counts = [0] * (m + 1)
         sums = [0] * (m + 1)
         for (i, _), e in cells.items():
-            counts[i] += 1
             sums[i] += e
         support = SupportSet((width * m) // 2, includes_zero=False)
         if not (  # the passing case, by whole-list builtins; a +-k row repeats a pair
             _is_support(cells.values(), support)
             and len({(i, abs(e)) for (i, _), e in cells.items()}) == len(cells)
-            and counts.count(width) == m
+            and len(cells) == m * width  # then no cell of the m x width grid is empty
             and sums.count(0) == m + 1
         ):  # find the first defect, in the order the message names it
             if entry_multiset(array) != support.sorted_values():
@@ -68,6 +64,7 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
                 if (i, abs(e)) in seen:
                     raise BlockError(f"row {i} contains an entry and its negation")
                 seen.add((i, abs(e)))
+            counts = Counter(i for i, _ in cells)
             for i in range(1, m + 1):
                 if counts[i] != width:
                     raise BlockError(f"row {i} is not fully filled")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .core import SignedArray, is_shiftable
+from .core import SignedArray
 from .criterion import Verdict, feasibility
 from .direct import CompactBlock, five_column_block, spread, three_column_block
 from .seeds import seed
@@ -58,12 +58,12 @@ def _step(op: str, **kwargs: object) -> TraceStep:
 
 @cache  # the catalog is fixed and a layout immutable: one flag scan per seed
 def _seed_layout(seed_id: str) -> Layout:
-    a = seed(seed_id)[0]
-    return Layout.of(a, is_shiftable(a))
+    return Layout.of(seed(seed_id)[0])
 
 
 def _spread_layout(block: CompactBlock) -> Layout:
-    return Layout.of(spread(block))
+    a = spread(block)  # not shiftable: each row holds 3 or 5 cells, which cannot balance
+    return Layout(a.rows, a.cols, len(a.cells), False, ((a, 0, 0, 0),))
 
 
 # Trace ops: the function, the kinds of the operands it pops (a join's fixed
@@ -89,16 +89,19 @@ def _kind(kind: type) -> str:
 def replay(trace: RouteTrace) -> SignedArray:
     """Execute a trace and return the resulting array.
 
-    A malformed trace raises ValueError naming the failing step: a step that
-    is not a TraceStep of a str op and (str, value) argument pairs, an unknown
-    op or seed id, a missing argument or one not of the exact type (no
-    coercion, so k=2.7, k="3" and k=True fail), too few operands or
-    one of the wrong kind, or a failed precondition of the operator (raised
-    as the operator's own ValueError subclass).  Operands left over at the
-    end raise ValueError too.  Array operands stay layouts until the end,
-    and the result equals that of the public operators applied one by one,
-    with the same cells in the same order.
+    A malformed trace raises ValueError: one that is not a RouteTrace of a
+    tuple of steps, or one with a failing step, which the message names: a
+    step that is not a TraceStep of a str op and (str, value) argument
+    pairs, an unknown op or seed id, a missing argument or one not of the
+    exact type (no coercion, so k=2.7, k="3" and k=True fail), too few
+    operands or one of the wrong kind, or a failed precondition of the
+    operator (raised as the operator's own ValueError subclass).  Operands
+    left over at the end raise ValueError too.  Array operands stay layouts
+    until the end, and the result equals that of the public operators
+    applied one by one, with the same cells in the same order.
     """
+    if not isinstance(trace, RouteTrace) or type(trace.steps) is not tuple:
+        raise ValueError(f"not a RouteTrace of a tuple of steps: {trace!r:.80}")
     stack: list[Layout | CompactBlock] = []
     for number, st in enumerate(trace.steps, start=1):
         try:

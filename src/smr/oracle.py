@@ -56,11 +56,10 @@ the row's count and sum, k fixes the magnitudes 1..k-1 left, and r is fixed
 for the call.  So one call of ``_row_test`` computes all three as a flag,
 and a memo local to each call keeps that flag per value and row code.
 Sibling frames differ in two rows, so each distinct row code is tested once
-per value, and most rows of a frame are a dict lookup.  The root is the
-one frame of value n, so it keeps no flags.  Since a flag is a function of
-(k, code), the memo changes no candidate, node count or witness.  It stops
-growing at about ``_MEMO_BYTES`` = 16 MiB, about 100 bytes an entry, so
-near 168k entries; a full memo only tests again.
+per value, and most rows of a frame are a dict lookup.  Since a flag is a
+function of (k, code), the memo changes no candidate, node count or
+witness.  It stops growing at about ``_MEMO_BYTES`` = 16 MiB, about 100
+bytes an entry, so near 168k entries; a full memo only tests again.
 
 Most candidates are not viable, so they are counted in bulk, not visited:
 the candidates of one value are a fixed sequence, row of +k first, so the
@@ -159,12 +158,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         # for any trailing rejects.  It reads codes once, here, and never
         # writes them.
         nonlocal room
-        if k < n:
-            flags = memo.get(k)
-            if flags is None:
-                flags = memo[k] = {}
-        else:  # the root, the one frame of value n, keeps no flags
-            flags = {}
+        flags = memo.get(k)
+        if flags is None:
+            flags = memo[k] = {}
         # Placing +k in p and -k in q changes only those rows, so each row is
         # tested three ways, as it stands, with +k and with -k: one _row_test
         # per row code and value.  The lowest unused row, of code 0, is tested
@@ -181,7 +177,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             if f is None:
                 count = (code + nr) // width
                 f = _row_test(r - count, k - 1, code - count * width, k)
-                if room > 0 and k < n:
+                if room > 0:
                     flags[code] = f
                     room -= 1
             if f & 1:

@@ -17,14 +17,11 @@ so a chain of operators writes each output cell once, when
 ``Layout.materialize`` builds the array.  That array is made with
 ``SignedArray._trusted``: its cells are leaf cells at ``int`` offsets
 inside its own shape, so the full validation would only repeat what the
-leaves already passed.  Shiftability known by construction lives in the
-layout, not in the array: inflation and shift layouts are known shiftable,
-a join takes the fixed operand's flag, and a leaf's layout takes the flag
-``Layout.of`` is given (``dispatch`` scans each seed once; a leaf given none
-is not known shiftable), so that the preconditions of later steps in one
-chain need not rescan them.  The public functions wrap one operator each:
-layout in, materialized array out, so a public operator that receives the
-output of an earlier one scans it again when its precondition asks.
+leaves already passed.  Shiftability lives in the layout, not in the array:
+``Layout.of`` scans its leaf, an inflation or shift is shiftable and a join
+takes the fixed operand's flag, so no ``Layout`` operator scans its
+operand.  The public functions wrap one operator each: array in,
+``Layout.of``, then the materialized array out.
 """
 
 from __future__ import annotations
@@ -42,12 +39,6 @@ class ParityError(ValueError):
 
 class JoinMismatchError(ValueError):
     """Join operands disagree on shared dimensions or fill degrees."""
-
-
-def _half(size: int) -> int:
-    if size % 2:
-        raise ParityError(f"array has an odd cell count {size}")
-    return size // 2
 
 
 def _place(
@@ -68,8 +59,7 @@ def _check_count(k: object, what: str) -> None:
 class Layout:
     """An array not yet written: ``rows`` x ``cols`` holding ``size`` cells,
     the union of ``parts``, each a (leaf, row offset, column offset, shift).
-    ``shiftable`` is True when the layout is known shiftable by
-    construction and False when that is not known.
+    ``shiftable`` is True iff the layout is shiftable.
 
     A value: no operator changes a layout, each returns a new one.  A slots
     class, not a named tuple: nothing compares, hashes or pickles a layout.
@@ -85,8 +75,8 @@ class Layout:
         self.parts = parts
 
     @classmethod
-    def of(cls, a: SignedArray, shiftable: bool = False) -> Layout:
-        return cls(a.rows, a.cols, len(a.cells), shiftable, ((a, 0, 0, 0),))
+    def of(cls, a: SignedArray) -> Layout:
+        return cls(a.rows, a.cols, len(a.cells), is_shiftable(a), ((a, 0, 0, 0),))
 
     def materialize(self) -> SignedArray:
         """Write every part's cells, in part order, into one array."""
@@ -110,14 +100,12 @@ class Layout:
 
     def _inflate(self, k: int, diagonal: bool, name: str) -> Layout:
         _check_count(k, "copy count")
-        a = None if self.shiftable else self.materialize()
-        if not (self.shiftable or is_shiftable(a)):
+        if not self.shiftable:
             raise NotShiftableError(f"{name} inflation requires a shiftable array")
         if k == 1:
             return self
-        quantum = _half(self.size)
-        if a is None and k:
-            a = self.materialize()
+        quantum = self.size // 2  # even: each row of a shiftable layout balances
+        a = self.materialize() if k else None
         row_step = self.rows if diagonal else 0
         parts = tuple([(a, b * row_step, b * self.cols, b * quantum) for b in range(k)])
         rows = self.rows * k if diagonal else self.rows
@@ -138,7 +126,7 @@ class Layout:
     def _join(self, b: Layout, row_off: int, name: str, parity: str) -> Layout:
         """b's parts, then self's moved past b (down by row_off, right by
         b.cols) and shifted past b's entry range; the flag is b's."""
-        if not (self.shiftable or is_shiftable(self.materialize())):
+        if not self.shiftable:
             raise NotShiftableError(f"{name} join requires a shiftable first operand")
         if b.size % 2:
             raise ParityError(f"fixed operand has {b.size} cells; {parity} must be even")
@@ -158,10 +146,8 @@ class Layout:
 
 
 def _degree(a: Layout, line: str) -> int:
-    """Cells per row or per column of a uniformly filled operand."""
+    """Cells per row or per column of a uniformly filled operand holding cells."""
     count = a.rows if line == "row" else a.cols
-    if count == 0:
-        return 0
     if a.size % count:
         raise JoinMismatchError(f"operand {line}s are not uniformly filled")
     return a.size // count

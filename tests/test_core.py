@@ -27,8 +27,11 @@ def test_params_validation():
         Params(2, 4, 3, 2)  # mr != ns
     with pytest.raises(ValueError):
         Params(2, 3, 4, 2)  # r > n
-    with pytest.raises(ValueError):
-        Params(1, 2, 4, 2)  # s > m
+    # s > m too, which mr = ns and r <= n rule out: r > n is what is named
+    with pytest.raises(ValueError, match=r"^r = 4 exceeds column count n = 2$"):
+        Params(1, 2, 4, 2)
+    with pytest.raises(ValueError, match=r"^r = 2 exceeds column count n = 1$"):
+        Params(1, 1, 2, 2)
     with pytest.raises(ValueError):
         Params(0, 1, 1, 0)
     with pytest.raises(ValueError):
@@ -82,6 +85,10 @@ def test_array_bounds_checked():
             SignedArray(2, 2, cells)
     with pytest.raises(ValueError):
         SignedArray(2.0, 2, {})
+    with pytest.raises(ValueError, match=r"^negative dimensions -1x2$"):
+        SignedArray(-1, 2)
+    with pytest.raises(ValueError, match=r"^negative dimensions 2x-1$"):
+        SignedArray.from_cells(2, -1, [])
 
 
 def test_from_cells_rejects_duplicates():

@@ -7,6 +7,7 @@ import pytest
 from smr import (
     BlockError,
     Params,
+    SignedArray,
     entry_multiset,
     five_column_block,
     spread,
@@ -150,6 +151,37 @@ def test_block_rejects_wrong_support():
     """  # 4 replaces 3: support is no longer exact
     with pytest.raises(BlockError):
         CompactBlock(from_grid(grid)[0], "three")
+
+
+def _swapped_rows_1_2(block):
+    cells = dict(block.array.cells)
+    cells[1, 1], cells[2, 1] = cells[2, 1], cells[1, 1]
+    return SignedArray(block.array.rows, block.array.cols, cells)
+
+
+@pytest.mark.parametrize(
+    "array, kind, message",
+    [
+        # swapping one column's entries between rows keeps the support and pairs
+        (_swapped_rows_1_2(three_column_block(4)), "three", "row 1 sums to 1"),
+        # an odd row count leaves one cell of the grid empty: the support set
+        # of 14 cells, no +-k row pair and zero row sums do not fill 3 x 5
+        (
+            SignedArray.from_cells(3, 5, [
+                (i, j + 1, e)
+                for i, row in enumerate([(1, -3, -5, 7), (-1, -2, 4, 5, -6), (2, 3, -4, 6, -7)], 1)
+                for j, e in enumerate(row)
+            ]),
+            "five",
+            "row 1 is not fully filled",
+        ),
+    ],
+)
+def test_block_names_its_first_bad_row(array, kind, message):
+    from smr import CompactBlock
+
+    with pytest.raises(BlockError, match=f"^{message}$"):
+        CompactBlock(array, kind)
 
 
 def test_block_kind_matches_its_width():

@@ -219,8 +219,8 @@ def test_sweep_outputs_validate_and_flags_hold():
                 top = stack[-1]
                 array = top.array if isinstance(top, CompactBlock) else top.materialize()
                 assert array == SignedArray(array.rows, array.cols, dict(array.cells))
-                if isinstance(top, Layout) and top.shiftable:
-                    assert is_shiftable(array), (m, r, str(st))
+                if isinstance(top, Layout):
+                    assert top.shiftable == is_shiftable(array), (m, r, str(st))
 
 
 def test_seed_layouts_are_built_once_with_their_flag():
@@ -233,7 +233,10 @@ def test_seed_layouts_are_built_once_with_their_flag():
 def test_construct_scans_no_operand_for_shiftability(monkeypatch):
     # every operand that an inflation or a join's first place needs shiftable
     # is a seed, an inflation or a join whose fixed operand is a shiftable
-    # seed, so its layout already knows: no route rescans an array
+    # seed, so its layout already knows: no route rescans an array.  Each
+    # seed's layout is scanned once, when first built, so build them all first
+    for sid in SEED_IDS:
+        _seed_layout(sid)
     scans = []
     monkeypatch.setattr(transforms, "is_shiftable", lambda a: scans.append(a) or is_shiftable(a))
     for m in range(2, 13):
@@ -413,6 +416,21 @@ def test_replay_rejects_bad_traces(steps, error, message):
     # malformed user trace
     with pytest.raises(error, match=message):
         replay(RouteTrace(tuple(steps)))
+
+
+@pytest.mark.parametrize(
+    "trace, shown",
+    [
+        (RouteTrace(5), r"RouteTrace\(steps=5\)"),
+        (RouteTrace(None), r"RouteTrace\(steps=None\)"),
+        (5, "5"),
+        # steps in a list, not a tuple, are refused like list args
+        (RouteTrace([S_2x4]), r"RouteTrace\(steps=\[TraceStep\(op='seed'"),
+    ],
+)
+def test_replay_rejects_a_malformed_trace(trace, shown):
+    with pytest.raises(ValueError, match=f"^not a RouteTrace of a tuple of steps: {shown}"):
+        replay(trace)
 
 
 def test_trace_is_readable():

@@ -224,6 +224,10 @@ def test_join_horizontal_row_count_mismatch():
     # an empty 3x0 operand still has three rows
     with pytest.raises(JoinMismatchError, match="row counts differ: 3 vs 2"):
         join_horizontal(inflate_horizontal(b, 0), a)
+    # equal row counts, but 4 cells cannot fill 3 columns alike
+    part = SignedArray.from_cells(2, 3, [(1, 1, 1), (2, 1, -1), (1, 2, 2), (2, 2, -2)])
+    with pytest.raises(JoinMismatchError, match="^operand columns are not uniformly filled$"):
+        join_horizontal(a, part)
 
 
 def test_join_horizontal_rejects_non_shiftable_left():
@@ -279,9 +283,11 @@ def test_join_shiftability_follows_fixed_operand():
     assert not is_shiftable(join_horizontal(shiftable_a, non_shiftable_b))
     shiftable_b, _ = seed("S_2x4")
     assert is_shiftable(join_horizontal(shiftable_a, shiftable_b))
-    # the layout's flag is b's: not known for a seed, True for an inflation
+    # the layout's flag is b's, scanned for a seed, True for an inflation
+    assert Layout.of(shiftable_b).shiftable is True
     joined = Layout.of(shiftable_a).join_horizontal(Layout.of(non_shiftable_b))
     assert joined.shiftable is False
+    assert Layout.of(shiftable_a).join_horizontal(Layout.of(shiftable_b)).shiftable is True
     flagged_b = Layout.of(shiftable_b).inflate_diagonal(2)
     assert Layout.of(shiftable_b).inflate_diagonal(3).join_diagonal(flagged_b).shiftable is True
 
