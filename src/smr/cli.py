@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 internal error, parse failure or output that cannot
 be written, 2 infeasible parameters, 3 verification failure or cross-check
 disagreement, 4 search budget cutoff, 64 bad usage.  Output is deterministic:
-no timestamps, no randomness, no environment variables; byte-identical across
-runs for fixed arguments.
+no timestamps, no randomness, no environment variables; stdout is
+byte-identical across runs for fixed arguments.  oracle --stats adds
+timings on stderr, which vary.
 """
 
 # The docstring above is also the description `smr --help` prints.  Opt-in

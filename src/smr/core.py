@@ -19,7 +19,7 @@ rejected, as are floats such as ``1.0``.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -243,12 +243,12 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     DimensionError when the array shape disagrees with ``p``.
 
     One loop tallies the rows and columns.  A passing array is decided from
-    the tallies with ``list.count`` and a set of the entries; the sorted
-    support tuple and entries are built only for a failing array, so memory
-    is the O(m + n) tallies plus that set.  Time and memory grow with the
-    declared ``p.m + p.n`` and ``mr``, not with the number of stored cells,
-    and every failing row and column is listed: an empty array that declares
-    a million rows yields a million violations.
+    the tallies with ``list.count`` and a set of the entries; the counts of
+    the entries and of the support are built only for a failing array, so
+    memory is the O(m + n) tallies plus that set.  Time and memory grow with
+    the declared ``p.m + p.n`` and ``mr``, not with the number of stored
+    cells, and every failing row and column is listed: an empty array that
+    declares a million rows yields a million violations.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(
@@ -285,11 +285,11 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
                 Violation("col_count", j, f"{col_count[j]} filled cells, expected {p.s}")
             )
 
-    expected = support_set(p).sorted_values()
-    actual = entry_multiset(a)
+    expected = Counter(support_set(p).sorted_values())
+    actual = Counter(a.cells.values())
     if actual != expected:
-        missing = _multiset_diff(expected, actual)
-        extra = _multiset_diff(actual, expected)
+        missing = sorted((expected - actual).elements())
+        extra = sorted((actual - expected).elements())
         violations.append(
             Violation(
                 "support",
@@ -306,13 +306,6 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
             violations.append(Violation("col_sum", j, f"sums to {col_sum[j]}"))
 
     return VerificationReport(tuple(violations))
-
-
-def _multiset_diff(left: tuple[int, ...], right: tuple[int, ...]) -> list[int]:
-    from collections import Counter
-
-    delta = Counter(left) - Counter(right)
-    return sorted(delta.elements())
 
 
 def _preview(values: list[int]) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Literal
 
-from .core import SignedArray, SupportSet, _Checked, _is_support, entry_multiset
+from .core import SignedArray, SupportSet, _Checked, _is_support
 
 
 class BlockError(ValueError):
@@ -57,7 +57,7 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
             and len(cells) == m * width  # then no cell of the m x width grid is empty
             and sums.count(0) == m + 1
         ):  # find the first defect, in the order the message names it
-            if entry_multiset(array) != support.sorted_values():
+            if not _is_support(cells.values(), support):
                 raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
             seen: set[tuple[int, int]] = set()
             for (i, _), e in cells.items():

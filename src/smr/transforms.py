@@ -6,8 +6,8 @@ one using {+-1..+-N'} into a result using {+-1..+-(N+N')}.
 
 The shift quantum of an array is half its cell count (the largest absolute
 entry of a valid array).  Degenerate empty operands are accepted by the
-inflations (k = 0) and act as identities in the joins, so boundary cases of
-the dispatch table need no special-casing.
+inflations (k = 0) and go through the same join code, under the same
+preconditions, so boundary cases of the dispatch table need no special-casing.
 
 The operators act on a ``Layout``: a shape, a cell count, a shiftability
 flag and a list of parts, each a leaf array placed at a row and column
@@ -114,13 +114,9 @@ class Layout:
     def join_horizontal(self, b: Layout) -> Layout:
         if self.rows != b.rows:
             raise JoinMismatchError(f"row counts differ: {self.rows} vs {b.rows}")
-        if self.size == 0 and self.cols == 0:
-            return b
         return self._join(b, 0, "horizontal", "the shared row count times its row degree")
 
     def join_diagonal(self, b: Layout) -> Layout:
-        if self.size == 0 and self.rows == 0 and self.cols == 0:
-            return b
         return self._join(b, b.rows, "diagonal", "its row count times the shared row degree")
 
     def _join(self, b: Layout, row_off: int, name: str, parity: str) -> Layout:
@@ -162,8 +158,6 @@ def shift(a: SignedArray, t: int) -> SignedArray:
     _check_count(t, "shift amount")
     if not is_shiftable(a):
         raise NotShiftableError("refusing to shift a non-shiftable array")
-    if t == 0:
-        return a
     return Layout(a.rows, a.cols, len(a.cells), True, ((a, 0, 0, t),)).materialize()
 
 

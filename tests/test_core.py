@@ -200,6 +200,76 @@ def test_verify_reports_offending_indices():
     assert rows == [2] and cols == [3]
 
 
+def _s2x4_with(**changes: int) -> SignedArray:
+    """S_2x4 with cell (i, j) set to each ``c<i><j>=value``."""
+    a, _ = seed("S_2x4")
+    cells = dict(a.cells)
+    for key, e in changes.items():
+        cells[int(key[1]), int(key[2])] = e
+    return SignedArray(2, 4, cells)
+
+
+def _far_4x12() -> SignedArray:
+    """S_4x12 with every entry moved 12 away from zero: +-13..+-24."""
+    a, _ = seed("S_4x12")
+    return SignedArray(4, 12, {k: e + 12 if e > 0 else e - 12 for k, e in a.cells.items()})
+
+
+@pytest.mark.parametrize(
+    "array,params,text",
+    [
+        # a duplicated entry: the value it replaced is missing, the copy unexpected
+        (
+            lambda: _s2x4_with(c11=2),
+            Params(2, 4, 4, 2),
+            "fail (3 violations)\n"
+            "  - support: missing [1], unexpected [2]\n"
+            "  - row_sum at row 1: sums to 1\n"
+            "  - col_sum at col 1: sums to 1",
+        ),
+        # multiplicities are listed: 2 appears three times
+        (
+            lambda: _s2x4_with(c11=2, c24=2),
+            Params(2, 4, 4, 2),
+            "fail (5 violations)\n"
+            "  - support: missing [-4, 1], unexpected [2, 2]\n"
+            "  - row_sum at row 1: sums to 1\n"
+            "  - row_sum at row 2: sums to 6\n"
+            "  - col_sum at col 1: sums to 1\n"
+            "  - col_sum at col 4: sums to 6",
+        ),
+        # an entry out of range
+        (
+            lambda: _s2x4_with(c14=9),
+            Params(2, 4, 4, 2),
+            "fail (3 violations)\n"
+            "  - support: missing [4], unexpected [9]\n"
+            "  - row_sum at row 1: sums to 5\n"
+            "  - col_sum at col 4: sums to 5",
+        ),
+        # a 0 in an even support
+        (
+            lambda: _s2x4_with(c11=0),
+            Params(2, 4, 4, 2),
+            "fail (3 violations)\n"
+            "  - support: missing [1], unexpected [0]\n"
+            "  - row_sum at row 1: sums to -1\n"
+            "  - col_sum at col 1: sums to -1",
+        ),
+        # more than 8 values on each side: the preview names 8 and counts the rest
+        (
+            _far_4x12,
+            Params(4, 12, 6, 2),
+            "fail (1 violations)\n"
+            "  - support: missing [-12, -11, -10, -9, -8, -7, -6, -5, ... (16 more)], "
+            "unexpected [-24, -23, -22, -21, -20, -19, -18, -17, ... (16 more)]",
+        ),
+    ],
+)
+def test_support_violation_text_is_pinned(array, params, text):
+    assert str(verify_smr(array(), params)) == text
+
+
 def test_two_entry_columns_hold_value_and_negation():
     # with two cells per column, a zero column sum forces the pair {k, -k}
     for sid in ("S_2x4", "S_4x12", "S_5x10", "S_3x9"):

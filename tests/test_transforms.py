@@ -216,6 +216,19 @@ def test_join_horizontal_parity_gate():
         join_horizontal(a, bad)
 
 
+def test_join_with_an_empty_operand_keeps_the_parity_gate():
+    # an empty shiftable operand goes through the same join code as any
+    # other, so a fixed operand with an odd cell count is refused there too
+    odd = SignedArray(1, 1, {(1, 1): 5})
+    with pytest.raises(ParityError, match="fixed operand has 1 cells"):
+        join_horizontal(SignedArray(1, 0), odd)
+    with pytest.raises(ParityError, match="fixed operand has 1 cells"):
+        join_diagonal(SignedArray(0, 0), odd)
+    two_rows = SignedArray(2, 1, {(1, 1): 5})
+    with pytest.raises(ParityError, match="fixed operand has 1 cells"):
+        join_horizontal(SignedArray(2, 0), two_rows)
+
+
 def test_join_horizontal_row_count_mismatch():
     a, _ = seed("S_2x4")
     b, _ = seed("S_3x6")
