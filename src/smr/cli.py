@@ -13,7 +13,8 @@ timings on stderr, which vary.
 # same with or without them.  `main` builds its parser once per process, on
 # its first call (see `build_parser`), and `--help` returns 0 from `main`.
 # A request too large for memory (a huge shape, or the state of a search
-# over a huge m) ends in one stderr line and exit 1, not a traceback; a grid
+# over a huge m) ends in one stderr line and exit 1, not a traceback, and so
+# does one whose size does not even fit an index (past 2^63); a grid
 # that `gen` can size up front as too large is a usage error.  Each command
 # imports the modules it runs, so `verify` loads no construction or search.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -215,6 +215,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     outcome = decide(args.m, args.r, budget)
     elapsed = time.perf_counter() - start
     if args.stats:
+        import json
+
         stats = {"nodes": outcome.nodes, **outcome.stats._asdict()}
         stats["elapsed_s"] = round(elapsed, 6)
         stats["nodes_per_s"] = round(outcome.nodes / elapsed) if elapsed > 0 else 0
@@ -321,6 +323,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
     except MemoryError:
         print("out of memory: the request needs more memory than is available", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OverflowError as exc:  # a size past what a list or an index can hold
+        print(f"too large: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -8,8 +8,8 @@ parameters.  Every parser returns ``(array, params)``; ``read`` picks one.
 
 from __future__ import annotations
 
-import json
-import re  # loaded by json already
+import gc
+import re  # for _SNIFF; json is imported where JSON is read
 
 from .core import Params, SignedArray
 
@@ -46,6 +46,12 @@ def to_json(a: SignedArray, p: Params) -> str:
 
 
 def from_json(text: str) -> tuple[SignedArray, Params]:
+    return _paused(_read_json, text)
+
+
+def _read_json(text: str) -> tuple[SignedArray, Params]:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -63,6 +69,8 @@ def from_json(text: str) -> tuple[SignedArray, Params]:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    if type(cells) is not list:
+        raise ParseError("field 'cells' is not a JSON array")
     # cell fields pass through as parsed, so the door rejects 1.9, true and "1"
     return _array(p, cells)
 
@@ -90,6 +98,10 @@ def from_csv(text: str) -> tuple[SignedArray, Params]:
     is read again line by line (``_read_csv_lines``), which decides what the
     input means and words every error.
     """
+    return _paused(_read_csv, text)
+
+
+def _read_csv(text: str) -> tuple[SignedArray, Params]:
     try:
         return _scan_csv(text)
     except ValueError:
@@ -126,6 +138,8 @@ def _scan_csv(text: str) -> tuple[SignedArray, Params]:
         or text.count("\r", at) != text.count("\r\n", at)
     ):
         raise ValueError("not a canonical CSV body")
+    import json
+
     triples = json.loads("[[" + text[at:].replace("\n", "],[") + "]]")
     if not triples[-1]:  # the line break that ends the last line
         triples.pop()
@@ -165,19 +179,47 @@ def _read_csv_lines(text: str) -> tuple[SignedArray, Params]:
     return _array(params, triples)
 
 
+def _paused(parse, text: str) -> tuple[SignedArray, Params]:
+    """``parse(text)`` with the cyclic collector paused, and its state
+    restored after, as found.  The pause is process-wide while a parse runs.
+    The parsed lists and the cells hold no cycles, so reference counting
+    frees what a collector pass would, and a parse of 2M cells is spared
+    the passes that its millions of new lists would set off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _array(
     params: Params | None, triples: list, shape: tuple[int, int] | None = None
 ) -> tuple[SignedArray, Params]:
     """The array of ``triples`` with ``params``, or with the inferred ones when
     None.  Every parser ends here: it is the one way through the checked door,
     and a door or inference error (``TypeError`` or ``ValueError``) becomes a
-    ``ParseError`` with the same text."""
+    ``ParseError`` with the same text.  ``triples`` is the parser's own list:
+    the door takes it drained, each triple released once it is checked, so
+    the parsed lists and the array are not held whole at once."""
     try:
         if params is None:
             params = _infer_params(triples, shape)
-        return SignedArray.from_cells(params.m, params.n, triples), params
+        return SignedArray.from_cells(params.m, params.n, _drain(triples)), params
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _drain(items: list):
+    """The items of ``items`` in order, each popped off the list as it is
+    taken.  The list is reversed once and popped up to a fresh sentinel,
+    which no parsed item equals; ``iter`` calls ``pop`` without a generator
+    frame to resume for every item."""
+    end = object()
+    items.append(end)
+    items.reverse()
+    return iter(items.pop, end)
 
 
 def _parse_param_comment(line: str) -> Params:
@@ -263,6 +305,10 @@ def from_grid(text: str) -> tuple[SignedArray, Params]:
     """Parse the grid rendering, tolerant of extra spacing: "." is an empty
     cell and every integer, 0 included, is a cell.  m and n are the grid's
     shape, and r and s follow from the cell count."""
+    return _paused(_read_grid, text)
+
+
+def _read_grid(text: str) -> tuple[SignedArray, Params]:
     rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
     n = len(rows[0]) if rows else 0
     triples = []

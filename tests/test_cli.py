@@ -192,6 +192,8 @@ def test_verify_parse_failure_exit_1(tmp_path, capsys):
         "# m=2 n=3 r=3 s=2\nrow,col,value\n3,1,1\n",
         "# m=2 n=3 r=3 s=2\nrow,col,value\n1,1,1\n1,1,-1\n",
         '{"m": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        # a cells value that is not an array once read as no cells (exit 3)
+        '{"m": 2, "n": 3, "r": 3, "s": 2, "cells": ""}',
     ):
         path.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, "verify", path)
@@ -428,6 +430,19 @@ def test_out_of_memory_exits_1_with_one_line():
     assert done.returncode == 1, lines
     assert len(lines) == 1 and lines[0].startswith("out of memory"), lines
     assert b"Traceback" not in done.stderr
+
+
+def test_size_past_an_index_exits_1_with_one_line(tmp_path, capsys):
+    """A shape past 2^63 cannot even size a list: the oracle's state and
+    verify_smr's tallies raise OverflowError before anything is allocated,
+    and main reports it in one line, not a traceback."""
+    big = 10**22
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"m": {big}, "n": 1, "r": 1, "s": {big}, "cells": []}}', encoding="utf-8")
+    for argv in (("oracle", big, 2, "--budget", 5), ("verify", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "too large: cannot fit 'int' into an index-sized integer\n", argv
 
 
 # negative budgets drawn as often as the others: they are the ones to reject

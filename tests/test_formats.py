@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 
@@ -114,6 +115,13 @@ def test_json_parse_errors_carry_location():
         assert old in text
         with pytest.raises(ParseError):
             from_json(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("cells", ['""', "{}", '"abc"', "5", "null"])
+def test_json_cells_must_be_an_array(cells):
+    # "" and {} once read as no cells; the others failed to unpack or iterate
+    with pytest.raises(ParseError, match=r"^field 'cells' is not a JSON array$"):
+        from_json(f'{{"m": 2, "n": 3, "r": 3, "s": 2, "cells": {cells}}}')
 
 
 def test_csv_parse_errors():
@@ -416,3 +424,57 @@ def test_grid_written_with_one_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * len(text)
+
+
+@pytest.mark.parametrize("m, n, r", [(2, 15000, 15000), (10000, 15000, 3)])  # wide; tall, rule 3
+@pytest.mark.parametrize("write, parse", [(to_json, from_json), (to_csv, from_csv)])
+def test_parse_holds_one_copy_of_the_cells(m, n, r, write, parse):
+    # the door drains the parsed list, so each parsed triple is freed as its
+    # cell is stored: the peak is the array plus what is not yet drained
+    import tracemalloc
+
+    a, _ = construct(m, n, r)
+    p = Params(m, n, r, 2)
+    text = write(a, p)
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == (a, p)
+    assert peak <= 1.35 * kept
+
+
+_S_2x4 = seed("S_2x4")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "parse, text, fails",
+    [
+        (from_json, to_json(*_S_2x4), False),
+        (from_csv, to_csv(*_S_2x4), False),
+        (from_csv, to_csv(*_S_2x4).replace("\n", "\n\n"), False),  # the line loop
+        (from_grid, to_grid(_S_2x4[0]), False),
+        (read, to_json(*_S_2x4), False),
+        (read, to_grid(_S_2x4[0]), False),
+        (from_json, "[1]", True),
+        (from_json, '{"m": 2, "n": 4, "r": 4, "s": 2, "cells": [[1, 1, 1], [1, 1, 1]]}', True),
+        (from_csv, "row,col,value\n1,1,1\n1,1,1\n", True),  # the scanner, then the line loop
+        (from_grid, "1 2\n3\n", True),
+        (read, "{", True),
+        (read, "hello\n", True),
+    ],
+)
+def test_parsers_restore_the_collector_state(parse, text, fails, enabled):
+    import gc
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(ParseError) if fails else contextlib.nullcontext():
+            parse(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

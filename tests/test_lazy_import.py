@@ -30,8 +30,8 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_seed_loads_core_formats_and_seeds_only():
-    out = _python(f"import smr, sys; smr.seed('S_2x4'); print({LOADED})")
-    assert out == "['smr.core', 'smr.formats', 'smr.seeds']\n"
+    out = _python(f"import smr, sys; smr.seed('S_2x4'); print({LOADED}, 'json' in sys.modules)")
+    assert out == "['smr.core', 'smr.formats', 'smr.seeds'] False\n"
 
 
 def test_cli_verify_loads_core_formats_and_cli_only(tmp_path):
@@ -48,12 +48,13 @@ def test_cli_verify_loads_core_formats_and_cli_only(tmp_path):
 
 
 def _cli_loads(argv: list[str]) -> str:
-    """The exit code of smr.cli.main(argv) and the smr modules it loaded."""
+    """The exit code of smr.cli.main(argv), the smr modules it loaded and
+    whether it loaded json."""
     return _python(
         "import contextlib, io, sys, smr.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = smr.cli.main({argv!r})\n"
-        f"print(code, {LOADED})\n"
+        f"print(code, {LOADED}, 'json' in sys.modules)\n"
     )
 
 
@@ -65,14 +66,14 @@ def test_oracle_loads_core_and_criterion_only():
 
 def test_cli_decide_loads_core_formats_criterion_and_cli_only():
     assert _cli_loads(["decide", "6", "9", "3"]) == (
-        "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats']\n"
+        "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats'] False\n"
     )
 
 
 def test_cli_search_commands_load_no_construction():
     for argv in (["oracle", "4", "4", "--witness"], ["crosscheck", "--max-m", "4", "--max-r", "4"]):
         assert _cli_loads(argv) == (
-            "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats', 'smr.oracle']\n"
+            "0 ['smr.cli', 'smr.core', 'smr.criterion', 'smr.formats', 'smr.oracle'] False\n"
         ), argv
 
 
