@@ -14,9 +14,10 @@ timings on stderr, which vary.
 # its first call (see `build_parser`), and `--help` returns 0 from `main`.
 # A request too large for memory (a huge shape, or the state of a search
 # over a huge m) ends in one stderr line and exit 1, not a traceback, and so
-# does one whose size does not even fit an index (past 2^63); a grid
-# that `gen` can size up front as too large is a usage error.  Each command
-# imports the modules it runs, so `verify` loads no construction or search.
+# does one whose size does not even fit an index (past 2^63); a grid that
+# `gen` or `oracle --witness` can size up front as too large is a usage
+# error.  Each command imports the modules it runs, so `verify` loads no
+# construction or search.
 
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ EXIT_VERIFY_FAILED = 3
 EXIT_CUTOFF = 4
 EXIT_USAGE = 64
 
-# the largest grid `gen` writes; a larger one is refused before it is built
+# the largest grid `gen` or `oracle --witness` writes; a larger one is refused
 _GRID_BYTES = 1 << 30
 
 
@@ -150,6 +151,14 @@ def _grid_bytes(m: int, n: int) -> int:
     return m * n * (len(str(-n)) + 1)
 
 
+def _check_grid(m: int, n: int, fmt: str) -> None:
+    """Refuse, as bad usage, to write a built (m, n; r, 2) array as a grid
+    over `_GRID_BYTES`."""
+    size = _grid_bytes(m, n) if fmt == "grid" else 0
+    if size > _GRID_BYTES:
+        raise _UsageError(f"the grid would take {size} bytes, over 1 GiB: use --json or --csv")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .criterion import feasibility
     from .dispatch import construct
@@ -158,9 +167,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not verdict.feasible:
         print(verdict, file=sys.stderr)
         return EXIT_INFEASIBLE
-    size = _grid_bytes(args.m, args.n) if args.format == "grid" else 0
-    if size > _GRID_BYTES:
-        raise _UsageError(f"the grid would take {size} bytes, over 1 GiB: use --json or --csv")
+    _check_grid(args.m, args.n, args.format)
     array, trace = construct(args.m, args.n, args.r)
     params = Params(args.m, args.n, args.r, 2)
     sys.stdout.write(_render(array, params, args.format))
@@ -214,6 +221,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     outcome = decide(args.m, args.r, budget)
     elapsed = time.perf_counter() - start
+    witness = outcome.witness if args.witness else None  # None unless it exists
+    if witness is not None:
+        _check_grid(witness.rows, witness.cols, args.format)
     if args.stats:
         import json
 
@@ -223,9 +233,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         stats["pruned"] = stats.pop("pruned")  # last, after the keys of earlier releases
         print(json.dumps(stats), file=sys.stderr)
     print(f"{outcome.status} (nodes: {outcome.nodes})")
-    if outcome.status == "exists" and args.witness:
-        params = Params(args.m, (args.m * args.r) // 2, args.r, 2)
-        sys.stdout.write(_render(outcome.witness, params, args.format))
+    if witness is not None:
+        params = Params(witness.rows, witness.cols, args.r, 2)
+        sys.stdout.write(_render(witness, params, args.format))
     if outcome.status == "cutoff":
         return EXIT_CUTOFF
     return EXIT_OK if outcome.status == "exists" else EXIT_INFEASIBLE

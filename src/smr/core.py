@@ -242,13 +242,14 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     the support set, zero row sums, zero column sums.  Pure function; raises
     DimensionError when the array shape disagrees with ``p``.
 
-    One loop tallies the rows and columns.  A passing array is decided from
-    the tallies with ``list.count`` and a set of the entries; the counts of
-    the entries and of the support are built only for a failing array, so
-    memory is the O(m + n) tallies plus that set.  Time and memory grow with
-    the declared ``p.m + p.n`` and ``mr``, not with the number of stored
-    cells, and every failing row and column is listed: an empty array that
-    declares a million rows yields a million violations.
+    One loop tallies the rows and columns.  Each axiom is decided once, from
+    the tallies with ``list.count`` or from a set of the entries, and only a
+    failing one is listed: the counts of the entries and of the support are
+    built only when the support axiom fails, so a passing array takes the
+    O(m + n) tallies plus that set.  Time and memory grow with the declared
+    ``p.m + p.n`` and ``mr``, not with the number of stored cells, and every
+    failing row and column is listed: an empty array that declares a million
+    rows yields a million violations.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(
@@ -264,47 +265,34 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
         col_count[j] += 1
         row_sum[i] += e
         col_sum[j] += e
-    if (  # the passing case, decided by whole-list builtins
-        row_count.count(p.r) == p.m
-        and col_count.count(p.s) == p.n
-        and row_sum.count(0) == p.m + 1
-        and col_sum.count(0) == p.n + 1
-        and _is_support(a.cells.values(), support_set(p))
-    ):
-        return VerificationReport(())
-
     violations: list[Violation] = []
-    for i in range(1, p.m + 1):
-        if row_count[i] != p.r:
-            violations.append(
-                Violation("row_count", i, f"{row_count[i]} filled cells, expected {p.r}")
-            )
-    for j in range(1, p.n + 1):
-        if col_count[j] != p.s:
-            violations.append(
-                Violation("col_count", j, f"{col_count[j]} filled cells, expected {p.s}")
-            )
-
-    expected = Counter(support_set(p).sorted_values())
-    actual = Counter(a.cells.values())
-    if actual != expected:
-        missing = sorted((expected - actual).elements())
-        extra = sorted((actual - expected).elements())
-        violations.append(
-            Violation(
-                "support",
-                None,
-                f"missing {_preview(missing)}, unexpected {_preview(extra)}",
-            )
-        )
-
-    for i in range(1, p.m + 1):
-        if row_sum[i] != 0:
-            violations.append(Violation("row_sum", i, f"sums to {row_sum[i]}"))
-    for j in range(1, p.n + 1):
-        if col_sum[j] != 0:
-            violations.append(Violation("col_sum", j, f"sums to {col_sum[j]}"))
-
+    if row_count.count(p.r) != p.m:
+        violations += [
+            Violation("row_count", i, f"{row_count[i]} filled cells, expected {p.r}")
+            for i in range(1, p.m + 1) if row_count[i] != p.r
+        ]
+    if col_count.count(p.s) != p.n:
+        violations += [
+            Violation("col_count", j, f"{col_count[j]} filled cells, expected {p.s}")
+            for j in range(1, p.n + 1) if col_count[j] != p.s
+        ]
+    support = support_set(p)
+    if not _is_support(a.cells.values(), support):
+        expected = Counter(support.sorted_values())
+        actual = Counter(a.cells.values())
+        missing = _preview(sorted((expected - actual).elements()))
+        extra = _preview(sorted((actual - expected).elements()))
+        violations.append(Violation("support", None, f"missing {missing}, unexpected {extra}"))
+    if row_sum.count(0) != p.m + 1:  # row_sum[0] is 0: there is no row 0
+        violations += [
+            Violation("row_sum", i, f"sums to {row_sum[i]}")
+            for i in range(1, p.m + 1) if row_sum[i] != 0
+        ]
+    if col_sum.count(0) != p.n + 1:
+        violations += [
+            Violation("col_sum", j, f"sums to {col_sum[j]}")
+            for j in range(1, p.n + 1) if col_sum[j] != 0
+        ]
     return VerificationReport(tuple(violations))
 
 

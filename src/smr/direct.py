@@ -51,19 +51,19 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
         for (i, _), e in cells.items():
             sums[i] += e
         support = SupportSet((width * m) // 2, includes_zero=False)
-        if not (  # the passing case, by whole-list builtins; a +-k row repeats a pair
-            _is_support(cells.values(), support)
-            and len({(i, abs(e)) for (i, _), e in cells.items()}) == len(cells)
-            and len(cells) == m * width  # then no cell of the m x width grid is empty
-            and sums.count(0) == m + 1
-        ):  # find the first defect, in the order the message names it
-            if not _is_support(cells.values(), support):
-                raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
+        # each invariant is decided by a whole-list builtin; only a failing
+        # one is searched for its first bad row, in the order the messages name
+        if not _is_support(cells.values(), support):
+            raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
+        # a row holding k and -k repeats a (row, |k|) pair
+        if len({(i, abs(e)) for (i, _), e in cells.items()}) != len(cells):
             seen: set[tuple[int, int]] = set()
             for (i, _), e in cells.items():
                 if (i, abs(e)) in seen:
                     raise BlockError(f"row {i} contains an entry and its negation")
                 seen.add((i, abs(e)))
+        # m * width cells leave no cell of the grid empty; sums[0] is 0, no row 0
+        if len(cells) != m * width or sums.count(0) != m + 1:
             counts = Counter(i for i, _ in cells)
             for i in range(1, m + 1):
                 if counts[i] != width:

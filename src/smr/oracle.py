@@ -33,12 +33,15 @@ multiset of per-row (count, sum) pairs; the next value k follows from the
 counts.  When a value runs out of candidates, that multiset is recorded as
 failed, and a later candidate leading to a recorded multiset is skipped:
 its subtree holds no witness, so statuses and witnesses are those of the
-plain search and node counts can only fall.  A key is the sorted row codes
-``count * (2nr + 1) + sum`` packed as 64-bit integers (a tuple when they do
-not fit, which needs r in the millions), so it is exact.  The table is
-local to each call and stops growing at about ``_TABLE_BYTES`` = 64 MiB:
-an entry takes about 8m + 75 bytes, so the cap is near 740k entries at
-m = 2 and 430k at m = 10.  A full table only skips less.
+plain search and node counts can only fall.  A key is the tuple of the
+sorted row codes ``count * (2nr + 1) + sum``, so it is exact at any size.
+No frame holds a key: when a value runs out, the codes are back at the
+state its frame started from, and the key is computed from them as they
+stand, so the frames take memory by the depth, not by depth times m.  The
+table is local to each call and stops growing at ``_TABLE_BYTES`` //
+(8m + 75) entries, 737k at m = 2, 433k at m = 10 and 331k at m = 16; full,
+it measured 86 to 117 MiB there under tracemalloc (166 to 311 bytes an
+entry).  A full table only skips less.
 
 The search state is that list of row codes and nothing else: a row's count
 and sum are decoded from its code.  The candidate enumerator of a value
@@ -79,14 +82,14 @@ search: it shares no code with the constructions and loads none of them.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, NamedTuple
 
 from .core import Params, SignedArray, _check_ints, verify_smr
 from .criterion import Verdict, feasibility
 
 DEFAULT_BUDGET = 10**8
-# the failed-state table stops growing at about this many bytes
+# the failed-state table stops growing at this // (8m + 75) entries; full, it
+# measured 86 to 117 MiB at m = 2, 10 and 16 (see the module docstring)
 _TABLE_BYTES = 64 << 20
 # the row-test memo stops growing at about this many bytes, 100 an entry
 _MEMO_BYTES = 16 << 20
@@ -136,11 +139,8 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     nr = n * r
     width = 2 * nr + 1
     codes = [0] * m
-    fits = r * width + nr < 1 << 63
-    pack = _pack64 if fits else tuple
-    failed: set[bytes | tuple[int, ...]] = set()
-    # an entry takes about 75 bytes plus 8 per row (44 in a tuple of big ints)
-    cap = _TABLE_BYTES // ((8 if fits else 44) * m + 75)
+    failed: set[tuple[int, ...]] = set()  # exhausted states: tuple(sorted(codes))
+    cap = _TABLE_BYTES // (8 * m + 75)
     nodes = hits = pushed = depth = pruned = 0
 
     # memo[k][code]: _row_test's flags for a row of that code at value k, a
@@ -229,11 +229,11 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             yield -1, -1, total - seen
 
     # one frame per value k = n, n-1, ...: its candidates, the rows in use,
-    # the key of the state it starts from, and the rows p and q of the +(k+1)
-    # and -(k+1) that opened it (-1 for the root)
-    frames: list[tuple[Iterator[tuple[int, int, int]], int, bytes | tuple[int, ...], int, int]] = []
+    # and the rows p and q of the +(k+1) and -(k+1) that opened it (-1 for
+    # the root); codes are the state a frame starts from whenever it is on top
+    frames: list[tuple[Iterator[tuple[int, int, int]], int, int, int]] = []
     if r <= n:  # else an empty row cannot take r distinct magnitudes
-        frames.append((candidates(n, 0), 0, b"", -1, -1))
+        frames.append((candidates(n, 0), 0, -1, -1))
         pushed = depth = 1
     status = "not_exists"
     while frames and status == "not_exists":
@@ -259,8 +259,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 break
             codes[p] += width + k
             codes[q] += width - k
-            key = pack(sorted(codes))
-            if key in failed:
+            if tuple(sorted(codes)) in failed:
                 hits += 1
                 codes[p] -= width + k
                 codes[q] -= width - k
@@ -270,17 +269,18 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 now_used = q + 1
             if p >= now_used:
                 now_used = p + 1
-            frames.append((candidates(k - 1, now_used), now_used, key, p, q))
+            frames.append((candidates(k - 1, now_used), now_used, p, q))
             pushed += 1
             if len(frames) > depth:
                 depth = len(frames)
             break
         else:
-            # k is exhausted: undo the +(k+1) and -(k+1) that opened its frame
-            _, _, key, p, q = frames.pop()
+            # k is exhausted from the state codes hold: record it, then undo
+            # the +(k+1) and -(k+1) that opened its frame
+            _, _, p, q = frames.pop()
             if frames:
                 if len(failed) < cap:
-                    failed.add(key)
+                    failed.add(tuple(sorted(codes)))
                 codes[p] -= width + k + 1
                 codes[q] -= width - k - 1
     stats = SearchStats(hits, len(failed), pushed, depth, pruned)
@@ -288,7 +288,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         return SearchOutcome(status, None, nodes, stats)
 
     # the frames of values n-1 .. 1 hold the rows of n .. 2; (p, q) holds 1's
-    rows = [frame[3:] for frame in frames[1:]] + [(p, q)]
+    rows = [frame[2:] for frame in frames[1:]] + [(p, q)]
     cells: dict[tuple[int, int], int] = {}
     for k, (p, q) in zip(range(n, 0, -1), rows):
         cells[p + 1, k] = k
@@ -327,10 +327,6 @@ def _row_test(d: int, R: int, s: int, k: int) -> int:
     if -top <= b <= top and (e > 2 or b):
         flags |= 4
     return flags
-
-
-def _pack64(codes: list[int]) -> bytes:
-    return array("q", codes).tobytes()
 
 
 class Disagreement(NamedTuple):

@@ -581,3 +581,19 @@ def test_oversize_grid_is_refused_before_it_is_built():
         check=False,
     )
     assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_oversize_witness_grid_is_refused_before_it_is_printed(capsys, monkeypatch):
+    # oracle --witness takes gen's cap: the witness of (4, 5) is a 160-byte grid
+    from smr import cli
+
+    monkeypatch.setattr(cli, "_GRID_BYTES", _grid_bytes(4, 10) - 1)
+    refused = "usage error: the grid would take 160 bytes, over 1 GiB: use --json or --csv\n"
+    for extra in ((), ("--stats",)):
+        assert run_cli(capsys, "oracle", 4, 5, "--witness", *extra) == (64, "", refused)
+    code, out, _ = run_cli(capsys, "oracle", 4, 5, "--witness", "--json")
+    assert code == 0 and out.startswith("exists (nodes: 63)\n{")
+    assert run_cli(capsys, "oracle", 2, 5, "--witness") == (2, "not_exists (nodes: 1)\n", "")
+    monkeypatch.setattr(cli, "_GRID_BYTES", _grid_bytes(4, 10))  # at the cap: printed
+    code, out, _ = run_cli(capsys, "oracle", 4, 5, "--witness")
+    assert code == 0 and len(out) == len("exists (nodes: 63)\n") + 160

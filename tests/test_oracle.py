@@ -322,7 +322,7 @@ def test_former_cutoffs_find_witnesses(m, r):
 
 
 def test_huge_codes_still_keyed_exactly():
-    # row codes past 64 bits would overflow array("q"); keys fall back to tuples
+    # row codes past 64 bits: a key is a tuple of ints, exact at any size
     outcome = decide(2, 2_000_000, budget=50)
     assert (outcome.status, outcome.nodes) == ("cutoff", 51)
 
@@ -340,6 +340,21 @@ def test_memory_follows_the_search_not_n():
         tracemalloc.stop()
     assert (outcome.status, outcome.nodes) == ("cutoff", 51)
     assert peak < 2 << 20
+
+
+def test_memory_follows_the_depth():
+    # a witness 2000 values deep at m = 1000: frames hold no key, so the
+    # search's memory grows with its depth, not with depth times m
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = decide(1000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.stats.max_depth) == ("exists", 2000)
+    assert peak <= 8 << 20
 
 
 # column canonicalization: an unrestricted search over column contents finds
