@@ -11,7 +11,8 @@ timings on stderr, which vary.
 # The docstring above is also the description `smr --help` prints.  Opt-in
 # diagnostics (gen --trace, oracle --stats) go to stderr, so stdout is the
 # same with or without them.  `main` builds its parser once per process, on
-# its first call (see `build_parser`), and `--help` returns 0 from `main`.
+# its first call (see `build_parser`), runs the handler each subparser sets
+# as `run`, and returns 0 from the `SystemExit` with which argparse ends --help.
 # A request too large for memory (a huge shape, or the state of a search
 # over a huge m) ends in one stderr line and exit 1, not a traceback, and so
 # does one whose size does not even fit an index (past 2^63); a grid that
@@ -26,13 +27,10 @@ import functools
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import formats
 from .core import Params, verify_smr
-
-if TYPE_CHECKING:
-    from .dispatch import RouteTrace
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,18 +47,14 @@ class _UsageError(Exception):
     pass
 
 
-class _ParserExit(Exception):
-    """argparse's exit after --help; its one argument is the exit status."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the taxonomy here wants 64
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
-    # --help, having printed its text, exits the process; `main` returns instead
-    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
-        raise _ParserExit(status)
+    # argparse's own print_help drops a failed write; this lets it reach `main`
+    def print_help(self, file=None) -> None:
+        print(self.format_help(), end="", file=file)
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -78,10 +72,6 @@ def _render(a, p: Params, fmt: str) -> str:
     return formats.to_grid(a)
 
 
-def _render_trace(trace: RouteTrace) -> str:
-    return "".join(f"# trace: {step}\n" for step in trace.steps)
-
-
 def _budget(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise _UsageError(f"--budget must be >= 0, got {args.budget}")
@@ -97,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="construct an (m, n; r, 2) rectangle")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("m", type=int)
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("r", type=int)
@@ -106,18 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="check a serialized array against the axioms")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("path")
 
     p_decide = sub.add_parser("decide", help="print the feasibility verdict")
+    p_decide.set_defaults(run=_cmd_decide)
     p_decide.add_argument("m", type=int)
     p_decide.add_argument("n", type=int)
     p_decide.add_argument("r", type=int)
 
     p_seed = sub.add_parser("seed", help="print a catalog seed")
+    p_seed.set_defaults(run=_cmd_seed)
     p_seed.add_argument("id", metavar="id")
     _add_format_flags(p_seed)
 
     p_oracle = sub.add_parser("oracle", help="decide existence by exhaustive search")
+    p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("m", type=int)
     p_oracle.add_argument("r", type=int)
     p_oracle.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
@@ -131,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser(
         "crosscheck", help="compare exhaustive search against the existence criterion"
     )
+    p_cross.set_defaults(run=_cmd_crosscheck)
     p_cross.add_argument("--max-m", type=int, required=True)
     p_cross.add_argument("--max-r", type=int, required=True)
     p_cross.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
@@ -138,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="construct and verify every feasible point in a parameter grid"
     )
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--max-m", type=int, required=True)
     p_sweep.add_argument("--max-r", type=int, required=True)
 
@@ -173,13 +170,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     sys.stdout.write(_render(array, params, args.format))
     if args.trace:
         sys.stdout.flush()  # so that 2>&1 still puts the trace after the array
-        sys.stderr.write(_render_trace(trace))
+        sys.stderr.write("".join(f"# trace: {step}\n" for step in trace.steps))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
+        with open(args.path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
@@ -287,17 +284,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "decide": _cmd_decide,
-    "seed": _cmd_seed,
-    "oracle": _cmd_oracle,
-    "crosscheck": _cmd_crosscheck,
-    "sweep": _cmd_sweep,
-}
-
-
 def _drop_stdout() -> None:
     """Point the stdout file descriptor at the null device, so that the
     interpreter's own flush at exit drops what could not be written instead
@@ -311,17 +297,14 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
-def _run(argv: Sequence[str] | None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _ParserExit as exc:  # --help has printed its text
-        return exc.args[0]
-    return _COMMANDS[args.command](args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = _run(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's exit after --help printed its text
+            code = exc.code
+        else:
+            code = args.run(args)
         sys.stdout.flush()  # a write that fails fails here, not at exit
         return code
     except _UsageError as exc:

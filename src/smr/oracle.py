@@ -204,16 +204,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         seen = 0  # candidates passed
         for p, ip in ok_p:
             # q must be the one failing row besides p, when there is one
-            if nbad == 0:
-                must = -1
-            elif p == b0:
-                must = b1
-            elif p == b1:
-                must = b0
-            elif nbad == 1:
-                must = b0
-            else:
+            if nbad == 2 and p != b0 and p != b1:
                 continue  # two failing rows besides p
+            must = b1 if p == b0 else b0
             start = ip * size
             for q, j in ok_q:  # the lowest unused row comes last
                 if q != p and (must < 0 or q == must):

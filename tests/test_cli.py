@@ -211,6 +211,14 @@ def test_verify_reads_the_grid_gen_writes(tmp_path, capsys):
         assert run_cli(capsys, "verify", path) == (0, "pass\n", "")
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv", "--grid"])
+def test_verify_skips_a_leading_byte_order_mark(tmp_path, capsys, fmt):
+    _, out, _ = run_cli(capsys, "gen", 3, 6, 4, fmt)
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + out.encode())
+    assert run_cli(capsys, "verify", path) == (0, "pass\n", "")
+
+
 def test_verify_grid_with_one_sign_flipped_exit_3(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "gen", 3, 6, 4)
     entry = re.search(r"-?[1-9]\d*", out)
@@ -320,6 +328,36 @@ def test_crosscheck_cutoff_exit_4(capsys):
     assert code == 4
 
 
+_DISAGREEMENTS_2x4 = """\
+checked 8 parameter points: 8 disagreements, 0 cutoffs
+  disagree at m=1 r=1: search says not_exists, criterion says feasible: FAIL_SMALL
+  disagree at m=1 r=2: search says not_exists, criterion says feasible: FAIL_SMALL
+  disagree at m=1 r=3: search says not_exists, criterion says feasible: FAIL_SMALL
+  disagree at m=1 r=4: search says not_exists, criterion says feasible: FAIL_SMALL
+  disagree at m=2 r=1: search says not_exists, criterion says feasible: FAIL_M2_RESIDUE
+  disagree at m=2 r=2: search says not_exists, criterion says feasible: FAIL_M2_RESIDUE
+  disagree at m=2 r=3: search says exists, criterion says infeasible: OK_M2
+  disagree at m=2 r=4: search says exists, criterion says infeasible: OK_M2"""
+
+
+def test_crosscheck_disagreements_exit_3(capsys, monkeypatch):
+    """A criterion that inverts every verdict disagrees with the search at
+    every point: the report lists each one, and the command exits 3."""
+    from smr import oracle
+
+    def inverted(m, n, r):
+        verdict = real(m, n, r)
+        return verdict._replace(feasible=not verdict.feasible)
+
+    real = oracle.feasibility
+    monkeypatch.setattr(oracle, "feasibility", inverted)
+    report = oracle.cross_check(2, 4)
+    assert report.ok is False
+    assert str(report) == _DISAGREEMENTS_2x4
+    code, out, err = run_cli(capsys, "crosscheck", "--max-m", 2, "--max-r", 4)
+    assert (code, out, err) == (3, _DISAGREEMENTS_2x4 + "\n", "")
+
+
 def test_sweep_small(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-m", 8, "--max-r", 8)
     assert code == 0
@@ -385,7 +423,7 @@ class _FullDisk(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.mark.parametrize("argv", [("gen", 2, 4, 4, "--json"), ("decide", 2, 4, 4)])
+@pytest.mark.parametrize("argv", [("gen", 2, 4, 4, "--json"), ("decide", 2, 4, 4), ("--help",)])
 def test_unwritable_stdout_exits_1(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(_FullDisk()), contextlib.redirect_stderr(err):
@@ -400,7 +438,9 @@ def test_unwritable_stdout_exits_1(argv):
 # on: that prints "Exception ignored" and exits 120.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("argv", [("gen", "2", "4", "4", "--json"), ("decide", "2", "4", "4")])
+@pytest.mark.parametrize(
+    "argv", [("gen", "2", "4", "4", "--json"), ("decide", "2", "4", "4"), ("--help",)]
+)
 def test_full_disk_exits_1_with_one_line(argv, unbuffered):
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
     with open("/dev/full", "wb") as full:
