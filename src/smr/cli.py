@@ -17,8 +17,10 @@ timings on stderr, which vary.
 # over a huge m) ends in one stderr line and exit 1, not a traceback, and so
 # does one whose size does not even fit an index (past 2^63); a grid that
 # `gen` or `oracle --witness` can size up front as too large is a usage
-# error.  Each command imports the modules it runs, so `verify` loads no
-# construction or search.
+# error.  A standard stream that is None is stood in for while `main` runs:
+# stdout refuses every write, as a closed pipe does, so the command exits 1,
+# and stderr drops what is written to it.  Each command imports the modules
+# it runs, so `verify` loads no construction or search.
 
 from __future__ import annotations
 
@@ -297,7 +299,39 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
+class _Missing:
+    """Stands in for a standard stream that is None, as it is when a program
+    runs without one.  A write to a missing stdout fails as one to a closed
+    pipe does; a write to a missing stderr is dropped."""
+
+    def __init__(self, refuse: bool):
+        self.refuse = refuse
+
+    def write(self, text: str) -> int:
+        if self.refuse:
+            raise OSError("standard output is missing")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    missing = sys.stdout is None, sys.stderr is None
+    if missing[0]:
+        sys.stdout = _Missing(refuse=True)
+    if missing[1]:
+        sys.stderr = _Missing(refuse=False)
+    try:
+        return _main(argv)
+    finally:
+        if missing[0]:
+            sys.stdout = None
+        if missing[1]:
+            sys.stderr = None
+
+
+def _main(argv: Sequence[str] | None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)

@@ -8,9 +8,11 @@ is even and {0, +-1, ..., +-((mr-1)/2)} when mr is odd: mr values for the mr
 filled cells.  The paper's abstract prints (ms-1)/2 for the odd case, which
 gives ms values and admits no array with r != s; it is read as a typo.
 
-Indices are 1-based throughout the public model.  Arrays are sparse maps
-from (row, col) to entry, immutable after construction: ``cells`` is a
-read-only view, and a write to it raises ``TypeError``.  That is why the
+Indices are 1-based throughout the public model.  An array keeps its cells
+packed: three ``array("q")`` columns of row, column and entry, about 24
+bytes a cell, read row-major (see ``_Cells``).  ``cells`` is a read-only
+``Mapping`` view over them, from (row, col) to entry, and a write to it
+raises ``TypeError``.  Arrays are immutable after construction, which is why the
 unchecked outputs of the transforms and the cached seeds are safe to share,
 between calls and between threads.  Parameters, dimensions, indices and
 entries must be exact ``int``s: ``bool`` is a subclass of ``int`` and is
@@ -19,9 +21,12 @@ rejected, as are floats such as ``1.0``.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from collections.abc import ItemsView, Mapping
+from itertools import chain
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 
 class DimensionError(ValueError):
@@ -112,20 +117,137 @@ def _is_support(values: Collection[int], support: SupportSet) -> bool:
     )
 
 
-def _checked(rows: int, cols: int, triples: Iterable) -> dict[tuple[int, int], int]:
+class _Cells(Mapping):
+    """The read-only map from (row, col) to entry over three ``array("q")``
+    columns of rows, columns and entries, one item a cell, no key twice.
+
+    The columns are row-major, or, as ``Layout.materialize`` writes them,
+    in part order: each part's cells row-major, the parts in column order,
+    which a stable sort by row makes row-major.  That sort runs the first
+    time an order is needed, and ``_sorted()`` returns the row-major
+    columns; counts and sums read ``_columns`` as it stands.  ``_columns``
+    is (rows, cols, entries, whether row-major), replaced whole, so that
+    every reader sees one consistent tuple.  Nothing writes to a column.
+
+    A lookup bisects the row column, then the column slice of that row;
+    iteration is row-major.  ``values()`` is a read-only ``memoryview`` of
+    the entries.  Two views are equal iff their sorted columns are, and
+    hash alike then."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, row: array, col: array, entry: array, in_order: bool = True):
+        self._columns = (row, col, entry, in_order)
+
+    def _sorted(self) -> tuple[array, array, array]:
+        row, col, entry, in_order = self._columns
+        if not in_order:
+            order = sorted(range(len(row)), key=row.__getitem__)
+            row, col, entry = [array("q", [c[x] for x in order]) for c in (row, col, entry)]
+            self._columns = (row, col, entry, True)
+        return row, col, entry
+
+    def __getitem__(self, key: object) -> int:
+        row, col, entry = self._sorted()
+        try:
+            i, j = key  # type: ignore[misc]
+            lo = bisect_left(row, i)
+            hi = bisect_right(row, i, lo)
+            at = bisect_left(col, j, lo, hi)
+        except (TypeError, ValueError):  # not a pair of numbers: not a key
+            raise KeyError(key) from None
+        if at < hi and col[at] == j:
+            return entry[at]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        row, col, _ = self._sorted()
+        return zip(row, col)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def items(self) -> _Items:
+        return _Items(self)
+
+    def _triples(self) -> Iterator[tuple[int, int, int]]:
+        """The (row, col, entry) of every cell, row-major."""
+        return zip(*self._sorted())
+
+    def values(self) -> memoryview:
+        return memoryview(self._sorted()[2]).toreadonly()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _Cells:
+            return self._sorted() == other._sorted()
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        # one column's bytes at a time: equal views have equal sorted columns
+        return hash(tuple(hash(c.tobytes()) for c in self._sorted()))
+
+    def __repr__(self) -> str:
+        return f"cells({dict(self.items())})"
+
+
+class _Items(ItemsView):
+    """The (key, entry) pairs, zipped from the sorted columns."""
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
+        row, col, entry = self._mapping._sorted()
+        return zip(zip(row, col), entry)
+
+
+def _checked(rows: int, cols: int, triples: Iterable) -> _Cells:
     """The one checked door into ``SignedArray``: check the shape, then take each
     ``(row, col, entry)`` once.  A triple of another length, a repeat, a
-    non-``int`` index or entry and a cell off the grid are ``ValueError``s;
-    a triple that is not iterable and an unhashable index are ``TypeError``s,
-    from the unpacking and the dict lookup.  The first defect in input order
-    is raised.  The triples may be tuples or the lists ``json.loads``
-    returns: the parsers hand theirs in as they are, through
-    ``formats._array``, which turns either error into a ``ParseError``."""
+    non-``int`` index or entry, a cell off the grid and an entry or index
+    past a signed 64-bit integer are ``ValueError``s; a triple that is not
+    iterable and an unhashable index are ``TypeError``s, from the unpacking
+    and a dict lookup.  The first defect in input order is raised.  The
+    triples may be tuples or the lists ``json.loads`` returns: the parsers
+    hand theirs in as they are, through ``formats._array``, which turns
+    either error into a ``ParseError``.
+
+    While the keys rise, as in every canonical file, seed and construction,
+    no key can repeat, and each triple is appended to the columns with no
+    Python object kept per cell.  From the first triple that is out of
+    order or in doubt on, ``_checked_by_key`` takes over with the cells so
+    far."""
     if type(rows) is not int or type(cols) is not int:
         raise ValueError(f"dimensions are not integers: {rows!r}x{cols!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"negative dimensions {rows}x{cols}")
-    cells: dict[tuple[int, int], int] = {}
+    row, col, entry = array("q"), array("q"), array("q")
+    last_i, last_j = 1, 0  # below every key on the grid
+    triples = iter(triples)
+    for i, j, e in triples:
+        if not (
+            type(i) is int and type(j) is int and type(e) is int
+            and (i > last_i or i == last_i and j > last_j) and i <= rows and 1 <= j <= cols
+        ):
+            break
+        try:
+            row.append(i)
+            col.append(j)
+            entry.append(e)
+        except OverflowError:
+            del row[len(entry):], col[len(entry):]
+            break
+        last_i, last_j = i, j
+    else:
+        return _Cells(row, col, entry)
+    return _checked_by_key(rows, cols, _Cells(row, col, entry), chain([(i, j, e)], triples))
+
+
+_Q = 1 << 63  # array("q") holds -_Q .. _Q - 1
+
+
+def _checked_by_key(rows: int, cols: int, taken: _Cells, triples: Iterator) -> _Cells:
+    """The door for the rest of ``triples`` once they left key order: each cell
+    in a dict, so that a repeat is found as its triple comes, then the dict
+    sorted into columns.  The cells ``taken`` before are its first entries."""
+    cells = dict(taken.items())
     for i, j, e in triples:
         key = (i, j)
         if key in cells:
@@ -136,8 +258,14 @@ def _checked(rows: int, cols: int, triples: Iterable) -> dict[tuple[int, int], i
             raise ValueError(f"cell ({i},{j}) outside the {rows}x{cols} grid")
         if type(e) is not int:
             raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
+        if not (i < _Q and j < _Q and -_Q <= e < _Q):
+            raise ValueError(f"cell ({i},{j}) or its entry {e} does not fit in a 64-bit integer")
         cells[key] = e
-    return cells
+    keys = sorted(cells)
+    return _Cells(
+        array("q", [i for i, _ in keys]), array("q", [j for _, j in keys]),
+        array("q", [cells[key] for key in keys]),
+    )
 
 
 def _pairs(cells: Mapping) -> Iterator[tuple]:
@@ -149,31 +277,35 @@ def _pairs(cells: Mapping) -> Iterator[tuple]:
         yield (*key, e)
 
 
+_NO_CELLS = _Cells(array("q"), array("q"), array("q"))
+
+
 class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
     """Sparse m x n grid of signed integer entries, 1-based indices.
 
-    ``cells`` is a read-only map from (row, col) to the entry.  Entries are
-    nonzero for every parameter set with an even cell count (the only kind
-    any construction here produces); zero is representable for odd-support
-    parameter sets.
+    ``cells`` is a read-only map from (row, col) to the entry, over packed
+    columns read row-major.  Entries are nonzero for every parameter
+    set with an even cell count (the only kind any construction here
+    produces); zero is representable for odd-support parameter sets.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rows: int, cols: int, cells: Mapping = MappingProxyType({})) -> SignedArray:
+    def __new__(cls, rows: int, cols: int, cells: Mapping = _NO_CELLS) -> SignedArray:
         return cls._trusted(rows, cols, _checked(rows, cols, _pairs(cells)))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, cells: dict[tuple[int, int], int]) -> SignedArray:
-        """Wrap ``cells`` unchecked; the dict is taken, not copied, and the
-        caller must not write to it again.  Only for the dicts ``_checked``
-        returns, for direct blocks and for materialized transform layouts,
-        which place cells of checked (or themselves trusted) leaves at
-        ``int`` offsets inside their own ``rows`` x ``cols``, so every check
-        would pass a second time.  The array is a plain value: how it was
-        built, shiftability included, is not recorded on it.
+    def _trusted(cls, rows: int, cols: int, cells: _Cells) -> SignedArray:
+        """Wrap ``cells`` unchecked; its columns are taken, not copied, and
+        the caller must not write to them again.  Only for the stores
+        ``_checked`` returns, for direct blocks and for materialized
+        transform layouts, which place cells of checked (or themselves
+        trusted) leaves at ``int`` offsets inside their own ``rows`` x
+        ``cols``, so every check would pass a second time.  The
+        array is a plain value: how it was built, shiftability included, is
+        not recorded on it.
         """
-        return tuple.__new__(cls, (rows, cols, MappingProxyType(cells)))
+        return tuple.__new__(cls, (rows, cols, cells))
 
     @classmethod
     def from_cells(
@@ -182,18 +314,13 @@ class SignedArray(_Checked, namedtuple("SignedArray", "rows cols cells")):
         return cls._trusted(rows, cols, _checked(rows, cols, triples))
 
     def __reduce__(self) -> tuple[type[SignedArray], tuple[int, int, dict]]:
-        # a mappingproxy cannot be pickled; rebuild through the checks
-        return type(self), (self.rows, self.cols, self.cells.copy())
-
-    def __hash__(self) -> int:
-        # the tuple hash would hash the cells view, which has no hash;
-        # equal arrays have equal cells, so they hash alike
-        return hash((self.rows, self.cols, frozenset(self.cells.items())))
+        # rebuilt through the checks, from a plain dict of the cells
+        return type(self), (self.rows, self.cols, dict(self.cells.items()))
 
 
 def entry_multiset(a: SignedArray) -> tuple[int, ...]:
     """All stored entries in ascending order."""
-    return tuple(sorted(a.cells.values()))
+    return tuple(sorted(a.cells._columns[2]))
 
 
 def is_shiftable(a: SignedArray) -> bool:
@@ -201,7 +328,8 @@ def is_shiftable(a: SignedArray) -> bool:
     entry counts.  The empty array is vacuously shiftable."""
     row_bal = [0] * (a.rows + 1)
     col_bal = [0] * (a.cols + 1)
-    for (i, j), e in a.cells.items():
+    rows, cols, entries, _ = a.cells._columns
+    for i, j, e in zip(rows, cols, entries):
         d = 1 if e > 0 else -1
         row_bal[i] += d
         col_bal[j] += d
@@ -249,7 +377,8 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     O(m + n) tallies plus that set.  Time and memory grow with the declared
     ``p.m + p.n`` and ``mr``, not with the number of stored cells, and every
     failing row and column is listed: an empty array that declares a million
-    rows yields a million violations.
+    rows yields a million violations.  No order is needed, so the columns
+    are read as they are stored.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(
@@ -260,7 +389,8 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     col_count = [0] * (p.n + 1)
     row_sum = [0] * (p.m + 1)
     col_sum = [0] * (p.n + 1)
-    for (i, j), e in a.cells.items():
+    rows, cols, entries, _ = a.cells._columns
+    for i, j, e in zip(rows, cols, entries):
         row_count[i] += 1
         col_count[j] += 1
         row_sum[i] += e
@@ -277,9 +407,9 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
             for j in range(1, p.n + 1) if col_count[j] != p.s
         ]
     support = support_set(p)
-    if not _is_support(a.cells.values(), support):
+    if not _is_support(entries, support):
         expected = Counter(support.sorted_values())
-        actual = Counter(a.cells.values())
+        actual = Counter(entries)
         missing = _preview(sorted((expected - actual).elements()))
         extra = _preview(sorted((actual - expected).elements()))
         violations.append(Violation("support", None, f"missing {missing}, unexpected {extra}"))

@@ -13,9 +13,10 @@ it.  There is no five-column construction at m = 2.
 
 Blocks and spread outputs are built with ``SignedArray._trusted``, the
 unchecked door that skips only the cell checks: their cells lie inside
-their own shape by construction.  ``CompactBlock`` checks the block
-invariants that spreading relies on, once: its array is a ``SignedArray``,
-which cannot change afterwards.  A spread output is a leaf of the layouts
+their own shape by construction, and their columns are written
+row-major.  ``CompactBlock`` checks the block invariants that spreading
+relies on, once: its array is a ``SignedArray``, which cannot change
+afterwards.  A spread output is a leaf of the layouts
 that ``dispatch.replay`` composes: a join takes it as one part and copies
 no cell of it until the final array is materialized.  It is not shiftable:
 its rows hold an odd number of cells.
@@ -23,10 +24,11 @@ its rows hold an odd number of cells.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, namedtuple
 from typing import Literal
 
-from .core import SignedArray, SupportSet, _Checked, _is_support
+from .core import SignedArray, SupportSet, _Cells, _Checked, _is_support
 
 
 class BlockError(ValueError):
@@ -46,25 +48,25 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
         m, width = array.rows, array.cols
         if kind not in {3: ("three",), 5: ("five", "five_repaired")}.get(width, ()):
             raise BlockError(f"a block of width {width} cannot be of kind {kind!r}")
-        cells = array.cells
+        rows, _, entries, _ = array.cells._columns  # sums and sets need no order
         sums = [0] * (m + 1)
-        for (i, _), e in cells.items():
+        for i, e in zip(rows, entries):
             sums[i] += e
         support = SupportSet((width * m) // 2, includes_zero=False)
         # each invariant is decided by a whole-list builtin; only a failing
         # one is searched for its first bad row, in the order the messages name
-        if not _is_support(cells.values(), support):
+        if not _is_support(entries, support):
             raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
         # a row holding k and -k repeats a (row, |k|) pair
-        if len({(i, abs(e)) for (i, _), e in cells.items()}) != len(cells):
+        if len(set(zip(rows, map(abs, entries)))) != len(entries):
             seen: set[tuple[int, int]] = set()
-            for (i, _), e in cells.items():
+            for i, e in zip(rows, entries):
                 if (i, abs(e)) in seen:
                     raise BlockError(f"row {i} contains an entry and its negation")
                 seen.add((i, abs(e)))
         # m * width cells leave no cell of the grid empty; sums[0] is 0, no row 0
-        if len(cells) != m * width or sums.count(0) != m + 1:
-            counts = Counter(i for i, _ in cells)
+        if len(entries) != m * width or sums.count(0) != m + 1:
+            counts = Counter(rows)
             for i in range(1, m + 1):
                 if counts[i] != width:
                     raise BlockError(f"row {i} is not fully filled")
@@ -79,16 +81,12 @@ def three_column_block(m: int) -> CompactBlock:
         raise ValueError(f"row count must be an even integer of at least 2, got {m!r}")
     half = m // 2
     top = 3 * half  # largest absolute entry
-    cells: dict[tuple[int, int], int] = {}
+    entries: list[int] = []
     for i in range(1, half + 1):
-        cells[i, 1] = i
-        cells[i, 2] = top - 2 * i + 1
-        cells[i, 3] = -top + i - 1
+        entries += (i, top - 2 * i + 1, -top + i - 1)
     for i in range(half + 1, m + 1):
-        cells[i, 1] = half - i
-        cells[i, 2] = -i
-        cells[i, 3] = -half + 2 * i
-    return CompactBlock(SignedArray._trusted(m, 3, cells), "three")
+        entries += (half - i, -i, -half + 2 * i)
+    return CompactBlock(SignedArray._trusted(m, 3, _full(m, 3, entries)), "three")
 
 
 def five_column_block(m: int) -> CompactBlock:
@@ -105,29 +103,27 @@ def five_column_block(m: int) -> CompactBlock:
     cells = _raw_five_column_cells(m)
     if m % 4 == 0:
         return CompactBlock(SignedArray._trusted(m, 5, cells), "five")
+    entries = cells._columns[2]  # no array holds these cells yet
     for upper in ((m - 2) // 4, (3 * m - 2) // 4):
-        lower = upper + 1
-        for col in (1, 5):
-            cells[upper, col], cells[lower, col] = cells[lower, col], cells[upper, col]
+        for at in (5 * upper - 5, 5 * upper - 1):  # columns 1 and 5 of row upper
+            entries[at], entries[at + 5] = entries[at + 5], entries[at]
     return CompactBlock(SignedArray._trusted(m, 5, cells), "five_repaired")
 
 
-def _raw_five_column_cells(m: int) -> dict[tuple[int, int], int]:
+def _raw_five_column_cells(m: int) -> _Cells:
     half = m // 2
-    cells: dict[tuple[int, int], int] = {}
+    entries: list[int] = []
     for i in range(1, half + 1):
-        cells[i, 1] = i
-        cells[i, 2] = half + 2 * i - 1
-        cells[i, 3] = -m - i
-        cells[i, 4] = -3 * half - i
-        cells[i, 5] = 2 * m - i + 1
+        entries += (i, half + 2 * i - 1, -m - i, -3 * half - i, 2 * m - i + 1)
     for i in range(half + 1, m + 1):
-        cells[i, 1] = half - i
-        cells[i, 2] = -3 * half + i - 1
-        cells[i, 3] = 5 * half - 2 * i + 2
-        cells[i, 4] = 3 * half + i
-        cells[i, 5] = -3 * m + i - 1
-    return cells
+        entries += (half - i, -3 * half + i - 1, 5 * half - 2 * i + 2, 3 * half + i, -3 * m + i - 1)
+    return _full(m, 5, entries)
+
+
+def _full(m: int, width: int, entries: list[int]) -> _Cells:
+    """The cells of an m x width block that ``entries`` fill row-major."""
+    rows = array("q", [i for i in range(1, m + 1) for _ in range(width)])
+    return _Cells(rows, array("q", range(1, width + 1)) * m, array("q", entries))
 
 
 def spread(block: CompactBlock) -> SignedArray:
@@ -138,5 +134,9 @@ def spread(block: CompactBlock) -> SignedArray:
     ``CompactBlock`` ruled out when the block was built.
     """
     a = block.array
-    cells = {(i, abs(e)): e for (i, _), e in a.cells.items()}
-    return SignedArray._trusted(a.rows, (a.cols * a.rows) // 2, cells)
+    width = a.cols
+    rows, _, entries = a.cells._sorted()
+    # each row's cells in order of |k|, which is their column
+    entries = array("q", [e for row in zip(*[iter(entries)] * width) for e in sorted(row, key=abs)])
+    cells = _Cells(rows, array("q", [abs(e) for e in entries]), entries)
+    return SignedArray._trusted(a.rows, (width * a.rows) // 2, cells)

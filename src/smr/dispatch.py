@@ -98,7 +98,7 @@ def replay(trace: RouteTrace) -> SignedArray:
     operator (raised as the operator's own ValueError subclass).  Operands
     left over at the end raise ValueError too.  Array operands stay layouts
     until the end, and the result equals that of the public operators
-    applied one by one, with the same cells in the same order.
+    applied one by one: the same cells, read row-major.
     """
     if not isinstance(trace, RouteTrace) or type(trace.steps) is not tuple:
         raise ValueError(f"not a RouteTrace of a tuple of steps: {trace!r:.80}")

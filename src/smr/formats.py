@@ -4,12 +4,19 @@ JSON and CSV forms carry the parameter quadruple and round-trip bit-exactly
 through the parsers here.  The grid form is the human-facing rendering
 (right-aligned entries, "." for empty cells), whose parser infers the
 parameters.  Every parser returns ``(array, params)``; ``read`` picks one.
+The writers read the array's packed columns in their row-major order, and
+canonical JSON and CSV are read in pieces, so a parse holds the array and
+one piece's parsed lists.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
-import re  # for _SNIFF; json is imported where JSON is read
+import re  # json is imported where JSON is read
+from bisect import bisect_right
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from .core import Params, SignedArray
 
@@ -18,38 +25,37 @@ class ParseError(ValueError):
     """Input text does not match a supported serialization."""
 
 
-def _by_row(a: SignedArray) -> list[list[tuple[int, int]]]:
-    """Each row's (col, entry) pairs sorted by column, indexed by row; entry
-    0 is empty.  One pass over the cells and a short sort per row: r cells a
-    row, where a global sort would order all mr of them."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(a.rows + 1)]
-    for (i, j), e in a.cells.items():
-        rows[i].append((j, e))
-    for row in rows:
-        row.sort()
-    return rows
+def _paused(parse: Callable) -> Callable:
+    """``parse`` with the cyclic collector paused (process-wide) and then
+    restored: parsed lists hold no cycles, and a parse of 2M cells is spared
+    the passes that its millions of new lists would set off."""
+
+    @functools.wraps(parse)
+    def paused(text: str) -> tuple[SignedArray, Params]:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(text)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def to_json(a: SignedArray, p: Params) -> str:
-    """Canonical JSON: fixed key order, cells sorted by (row, col).
-
-    The bytes are those of ``json.dumps`` with ``separators=(", ", ": ")``,
-    written directly: an ``int`` prints the same either way.
-    """
-    rows = [
-        f"[{i}, " + f"], [{i}, ".join([f"{j}, {e}" for j, e in row]) + "]"
-        for i, row in enumerate(_by_row(a))
-        if row
-    ]
-    cells = ", ".join(rows)
+    """Canonical JSON: fixed key order, cells sorted by (row, col).  The bytes
+    of ``json.dumps`` with ``separators=(", ", ": ")``, written directly."""
+    cells = ", ".join([f"[{i}, {j}, {e}]" for i, j, e in a.cells._triples()])
     return f'{{"m": {p.m}, "n": {p.n}, "r": {p.r}, "s": {p.s}, "cells": [{cells}]}}\n'
 
 
+@_paused
 def from_json(text: str) -> tuple[SignedArray, Params]:
-    return _paused(_read_json, text)
-
-
-def _read_json(text: str) -> tuple[SignedArray, Params]:
+    try:
+        return _scan_json(text)
+    except _Reread:
+        pass
     import json
 
     try:
@@ -75,33 +81,70 @@ def _read_json(text: str) -> tuple[SignedArray, Params]:
     return _array(p, cells)
 
 
+class _Reread(Exception):
+    """A scanner cannot read the text in pieces; it is read again otherwise."""
+
+
+def _scan_json(text: str) -> tuple[SignedArray, Params]:
+    """The head up to the first ``"cells": [``, read with ``]}`` after it, then
+    the cell array that closes the text, in pieces cut at ``, [``.  A cut
+    inside a nested value leaves a piece unbalanced, so when every piece
+    reads, they hold the cells of the whole text.  If one does not, or the
+    head or parameters fail, ``_Reread``; a door error waits for the later
+    pieces to read, so that a JSON error wins, as in a whole read."""
+    import json
+
+    at, stop = text.find('"cells": [') + 10, text.rfind("]}")
+    if not 10 <= at <= stop or text[stop + 2 :].strip(" \t\n\r"):
+        raise _Reread
+    try:
+        head = json.loads(text[:at] + "]}")
+        p = Params(head["m"], head["n"], head["r"], head["s"])
+    except (KeyError, TypeError, ValueError, RecursionError):
+        raise _Reread from None
+    pieces = _pieces(text, at, stop, ", [", 2, "[{}]".format, (ValueError, RecursionError))
+    try:
+        return _array(p, chain.from_iterable(pieces))
+    except ParseError:
+        for _ in pieces:
+            pass
+        raise
+
+
+_PIECE = 1 << 13  # about how many characters of cells are parsed at once
+
+
+def _pieces(text: str, at: int, stop: int, mark: str, skip: int, wrap, errors=()) -> Iterator:
+    """Each piece of ``text[at:stop]``, wrapped and read as JSON; one of
+    ``errors`` from a read becomes ``_Reread``.  A piece ends at the first
+    ``mark`` past ``_PIECE`` characters; the next starts ``skip`` into it."""
+    import json
+
+    while True:
+        cut = text.find(mark, at + _PIECE, stop)
+        try:
+            yield json.loads(wrap(text[at : stop if cut < 0 else cut]))
+        except errors:
+            raise _Reread from None
+        if cut < 0:
+            return
+        at = cut + skip
+
+
 def to_csv(a: SignedArray, p: Params) -> str:
     """Canonical CSV: a parameter comment, a header, one sorted line per cell."""
     lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
-    lines += [
-        f"{i}," + f"\n{i},".join([f"{j},{e}" for j, e in row])
-        for i, row in enumerate(_by_row(a))
-        if row
-    ]
+    lines += [f"{i},{j},{e}" for i, j, e in a.cells._triples()]
     return "\n".join(lines) + "\n"
 
 
+@_paused
 def from_csv(text: str) -> tuple[SignedArray, Params]:
-    """Parse CSV with a ``row,col,value`` header.
-
-    Parameters come from the leading ``# m=.. n=.. r=.. s=..`` comment when
-    present and are otherwise inferred from the cells (maximal row and column
-    index, uniform per-row and per-column counts).
-
-    The cell lines are read by the JSON scanner (``_scan_csv``) when the text
-    has the canonical layout.  If the scanner or the checks raise, the text
-    is read again line by line (``_read_csv_lines``), which decides what the
-    input means and words every error.
-    """
-    return _paused(_read_csv, text)
-
-
-def _read_csv(text: str) -> tuple[SignedArray, Params]:
+    """Parse CSV with a ``row,col,value`` header.  Parameters come from a leading
+    ``# m=.. n=.. r=.. s=..`` comment, else from the cells (maximal indices,
+    uniform line counts).  ``_scan_csv`` reads a canonical text; if it
+    raises, ``_read_csv_lines`` decides what the input means and words every
+    error."""
     try:
         return _scan_csv(text)
     except ValueError:
@@ -111,19 +154,13 @@ def _read_csv(text: str) -> tuple[SignedArray, Params]:
 
 
 def _scan_csv(text: str) -> tuple[SignedArray, Params]:
-    """The canonical CSV, its cell lines read as one JSON array of arrays.
-
-    Only the head is split off: an optional comment line and the header,
-    each one line as ``splitlines`` cuts the text, with no blank line before
-    them.  The cell lines become ``[[`` + lines joined by ``],[`` + ``]]``.
-    The text is refused (with a ``ValueError``) where JSON would read it
-    otherwise than the line loop: a ``[`` or ``]`` would join or split lines,
-    a ``{`` would nest, and a lone ``\\r`` is a line break to ``splitlines``
-    but blank to JSON.  A blank line, a field that is no JSON integer
-    (``05``, ``+5``) and a line of another length fail here too; only one
-    trailing line break is allowed.  The door checks the rest, so whatever
-    passes reads as it does line by line.
-    """
+    """The canonical CSV: an optional comment line and the header, each one
+    line to ``splitlines``, then pieces of cell lines, each read as ``[[`` +
+    its lines joined by ``],[`` + ``]]``.  Refused where JSON would read the
+    text otherwise than the line loop: a ``[`` or ``]`` joins or splits
+    lines, a ``{`` nests, a lone ``\\r`` breaks a line only to ``splitlines``.
+    A blank line, a non-JSON integer (``05``, ``+5``) and a line of another
+    length fail in the door; one trailing line break is allowed."""
     line, at = _head_line(text, 0)
     params = None
     if line.lstrip().startswith("#"):
@@ -131,24 +168,16 @@ def _scan_csv(text: str) -> tuple[SignedArray, Params]:
         line, at = _head_line(text, at)
     if line.strip().lower() != "row,col,value":
         raise ParseError("expected header line 'row,col,value'")
-    if (
-        text.find("[", at) >= 0
-        or text.find("]", at) >= 0
-        or text.find("{", at) >= 0
-        or text.count("\r", at) != text.count("\r\n", at)
-    ):
+    if any(text.find(c, at) >= 0 for c in "[]{") or text.count("\r", at) != text.count("\r\n", at):
         raise ValueError("not a canonical CSV body")
-    import json
-
-    triples = json.loads("[[" + text[at:].replace("\n", "],[") + "]]")
-    if not triples[-1]:  # the line break that ends the last line
-        triples.pop()
-    return _array(params, triples)
+    stop = len(text) - text.endswith("\n", at)  # the line break that ends the last line
+    lines = _pieces(text, at, stop, "\n", 1, lambda piece: "[[" + piece.replace("\n", "],[") + "]]")
+    cells = chain.from_iterable(lines if at < stop else ())
+    return _array(params, list(cells) if params is None else cells)
 
 
 def _head_line(text: str, at: int) -> tuple[str, int]:
-    """The line that starts at ``at`` and where the next one starts, if the
-    text up to the next ``\\n`` is one line to ``splitlines``."""
+    """The line at ``at`` and where the next starts, if it is one to ``splitlines``."""
     end = text.find("\n", at)
     if end < 0:
         end = len(text)
@@ -179,47 +208,17 @@ def _read_csv_lines(text: str) -> tuple[SignedArray, Params]:
     return _array(params, triples)
 
 
-def _paused(parse, text: str) -> tuple[SignedArray, Params]:
-    """``parse(text)`` with the cyclic collector paused, and its state
-    restored after, as found.  The pause is process-wide while a parse runs.
-    The parsed lists and the cells hold no cycles, so reference counting
-    frees what a collector pass would, and a parse of 2M cells is spared
-    the passes that its millions of new lists would set off."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse(text)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _array(
-    params: Params | None, triples: list, shape: tuple[int, int] | None = None
-) -> tuple[SignedArray, Params]:
-    """The array of ``triples`` with ``params``, or with the inferred ones when
-    None.  Every parser ends here: it is the one way through the checked door,
-    and a door or inference error (``TypeError`` or ``ValueError``) becomes a
-    ``ParseError`` with the same text.  ``triples`` is the parser's own list:
-    the door takes it drained, each triple released once it is checked, so
-    the parsed lists and the array are not held whole at once."""
+def _array(params: Params | None, triples: Iterable, shape=None) -> tuple[SignedArray, Params]:
+    """The array of ``triples`` with ``params``, or, from a list, with the
+    inferred ones.  Every parser ends here, the one way through the checked
+    door: a door or inference error (``TypeError`` or ``ValueError``) becomes
+    a ``ParseError`` with the same text."""
     try:
         if params is None:
             params = _infer_params(triples, shape)
-        return SignedArray.from_cells(params.m, params.n, _drain(triples)), params
+        return SignedArray.from_cells(params.m, params.n, triples), params
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _drain(items: list):
-    """The items of ``items`` in order, each popped off the list as it is
-    taken.  The list is reversed once and popped up to a fresh sentinel,
-    which no parsed item equals; ``iter`` calls ``pop`` without a generator
-    frame to resume for every item."""
-    end = object()
-    items.append(end)
-    items.reverse()
-    return iter(items.pop, end)
 
 
 def _parse_param_comment(line: str) -> Params:
@@ -263,17 +262,14 @@ _RUN = 64  # the most empty fields one shared run string holds
 
 def to_grid(a: SignedArray) -> str:
     """Text grid: one line per row, right-aligned entries, '.' when empty.
-
-    Every field is written with the separator after it, " " or, in the last
-    column, a newline.  A gap of k empty fields is one shared run string,
-    ``run[k]``, or for k past the run length ``[chunk] * q`` and a run; the
-    empty fields that close a row are ``close[k]`` the same way.  No piece is
-    sliced from a blank row, so the final join writes each byte once.
-    """
+    Every field is written with its separator after it, " " or a newline.  A
+    gap of k empty fields is one shared run string, ``run[k]``, or past the
+    run length ``[chunk] * q`` and a run; the empty fields that close a row
+    are ``close[k]`` the same way.  The final join writes each byte once."""
     cols = a.cols
     if not cols:
         return "\n" * a.rows
-    values = a.cells.values()
+    rows, columns, values = a.cells._sorted()
     # the longest decimal is that of the largest or of the most negative entry
     width = max(len(str(max(values))), len(str(min(values)))) if values else 1
     field, last = f"%{width}d ", f"%{width}d\n"
@@ -283,15 +279,19 @@ def to_grid(a: SignedArray) -> str:
     close = [""] + [run[k - 1] + dot + "\n" for k in range(1, size + 1)]
     chunk = run[size]
     parts: list[str] = []
-    for row in _by_row(a)[1:]:
+    cells = zip(columns, values)
+    lo = 0
+    for i in range(1, a.rows + 1):
+        hi = bisect_right(rows, i, lo)  # row i is cells lo..hi - 1
         at = 0
-        for j, e in row:
+        for j, e in islice(cells, hi - lo):
             k = j - at - 1
             if k > size:
                 q, k = divmod(k, size)
                 parts += [chunk] * q
             parts += (run[k], (last if j == cols else field) % e)
             at = j
+        lo = hi
         k = cols - at
         if k > size:  # close[k] keeps the last field, the one with the newline
             q, k = divmod(k - 1, size)
@@ -301,14 +301,11 @@ def to_grid(a: SignedArray) -> str:
     return "".join(parts)
 
 
+@_paused
 def from_grid(text: str) -> tuple[SignedArray, Params]:
     """Parse the grid rendering, tolerant of extra spacing: "." is an empty
     cell and every integer, 0 included, is a cell.  m and n are the grid's
     shape, and r and s follow from the cell count."""
-    return _paused(_read_grid, text)
-
-
-def _read_grid(text: str) -> tuple[SignedArray, Params]:
     rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
     n = len(rows[0]) if rows else 0
     triples = []
@@ -324,14 +321,12 @@ def _read_grid(text: str) -> tuple[SignedArray, Params]:
     return _array(None, triples, (len(rows), n))
 
 
-_SNIFF = re.compile(r"\s*(?:(\{)|#|row,col,value(?!\S))", re.IGNORECASE)
-
-
 def read(text: str) -> tuple[SignedArray, Params]:
     """Parse JSON, CSV or a grid, told apart by the first non-blank token:
     "{" is JSON, "#" or a ``row,col,value`` header (any case) is CSV, and
-    anything else is a grid."""
-    match = _SNIFF.match(text)
+    anything else is a grid.  The pattern is compiled on the first call, so
+    that importing the module, as every seed lookup does, skips it."""
+    match = re.match(r"\s*(?:(\{)|#|row,col,value(?!\S))", text, re.IGNORECASE)
     if match is None:
         return from_grid(text)
     return from_json(text) if match.group(1) else from_csv(text)

@@ -38,10 +38,11 @@ sorted row codes ``count * (2nr + 1) + sum``, so it is exact at any size.
 No frame holds a key: when a value runs out, the codes are back at the
 state its frame started from, and the key is computed from them as they
 stand, so the frames take memory by the depth, not by depth times m.  The
-table is local to each call and stops growing at ``_TABLE_BYTES`` //
-(8m + 75) entries, 737k at m = 2, 433k at m = 10 and 331k at m = 16; full,
-it measured 86 to 117 MiB there under tracemalloc (166 to 311 bytes an
-entry).  A full table only skips less.
+table is local to each call and stops growing at ``_TABLE_CAP_NUMERATOR``
+// (8m + 75) entries, 737k at m = 2, 433k at m = 10 and 331k at m = 16.
+The numerator is no byte budget: full, the table measured 86 to 117 MiB
+there under tracemalloc (166 to 311 bytes an entry).  A full table only
+skips less.
 
 The search state is that list of row codes and nothing else: a row's count
 and sum are decoded from its code.  The candidate enumerator of a value
@@ -88,9 +89,10 @@ from .core import Params, SignedArray, _check_ints, verify_smr
 from .criterion import Verdict, feasibility
 
 DEFAULT_BUDGET = 10**8
-# the failed-state table stops growing at this // (8m + 75) entries; full, it
-# measured 86 to 117 MiB at m = 2, 10 and 16 (see the module docstring)
-_TABLE_BYTES = 64 << 20
+# the numerator of the failed-state table's entry cap: the table stops growing
+# at this // (8m + 75) entries, which measured 86 to 117 MiB at m = 2, 10 and
+# 16 (see the module docstring)
+_TABLE_CAP_NUMERATOR = 64 << 20
 # the row-test memo stops growing at about this many bytes, 100 an entry
 _MEMO_BYTES = 16 << 20
 
@@ -140,7 +142,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     width = 2 * nr + 1
     codes = [0] * m
     failed: set[tuple[int, ...]] = set()  # exhausted states: tuple(sorted(codes))
-    cap = _TABLE_BYTES // (8 * m + 75)
+    cap = _TABLE_CAP_NUMERATOR // (8 * m + 75)
     nodes = hits = pushed = depth = pruned = 0
 
     # memo[k][code]: _row_test's flags for a row of that code at value k, a

@@ -11,22 +11,29 @@ preconditions, so boundary cases of the dispatch table need no special-casing.
 
 The operators act on a ``Layout``: a shape, a cell count, a shiftability
 flag and a list of parts, each a leaf array placed at a row and column
-offset with its entries moved a fixed amount away from zero.  A join only
-appends parts and an inflation lays out copies of its materialized operand,
-so a chain of operators writes each output cell once, when
-``Layout.materialize`` builds the array.  That array is made with
-``SignedArray._trusted``: its cells are leaf cells at ``int`` offsets
-inside its own shape, so the full validation would only repeat what the
-leaves already passed.  Shiftability lives in the layout, not in the array:
-``Layout.of`` scans its leaf, an inflation or shift is shiftable and a join
-takes the fixed operand's flag, so no ``Layout`` operator scans its
-operand.  The public functions wrap one operator each: array in,
-``Layout.of``, then the materialized array out.
+offset with its entries moved a fixed amount away from zero.  Each part
+has its own band of columns, and the parts run in order of column offset.
+A join only appends parts and an inflation lays out copies of its
+materialized operand, so a chain of operators writes each output cell
+once, when ``Layout.materialize`` builds the array.  It writes the parts
+one after another, each a leaf's row-major columns moved, and leaves the
+row-major sort to the array's first ordered read: building and checking
+an array need no order.  The array is made with ``SignedArray._trusted``:
+its cells are leaf cells at ``int`` offsets inside its own shape, so the
+full validation would only repeat what the leaves already passed.
+Shiftability lives in the layout, not in the array: ``Layout.of`` scans
+its leaf, an inflation or shift is shiftable and a join takes the fixed
+operand's flag, so no ``Layout`` operator scans its operand.  The public
+functions wrap one operator each: array in, ``Layout.of``, then the
+materialized array out.
 """
 
 from __future__ import annotations
 
-from .core import SignedArray, is_shiftable
+from array import array
+from itertools import groupby
+
+from .core import SignedArray, _Cells, is_shiftable
 
 
 class NotShiftableError(ValueError):
@@ -41,16 +48,6 @@ class JoinMismatchError(ValueError):
     """Join operands disagree on shared dimensions or fill degrees."""
 
 
-def _place(
-    cells: dict[tuple[int, int], int], a: SignedArray, t: int, row_off: int, col_off: int
-) -> dict[tuple[int, int], int]:
-    """Write a's cells into ``cells``, each entry moved t away from zero and
-    each position offset by (row_off, col_off).  Returns ``cells``."""
-    for (i, j), e in a.cells.items():
-        cells[i + row_off, j + col_off] = e + t if e > 0 else e - t
-    return cells
-
-
 def _check_count(k: object, what: str) -> None:
     if type(k) is not int or k < 0:
         raise ValueError(f"{what} must be a nonnegative integer, got {k!r}")
@@ -58,7 +55,8 @@ def _check_count(k: object, what: str) -> None:
 
 class Layout:
     """An array not yet written: ``rows`` x ``cols`` holding ``size`` cells,
-    the union of ``parts``, each a (leaf, row offset, column offset, shift).
+    the union of ``parts``, each a (leaf, row offset, column offset, shift),
+    in order of column offset.
     ``shiftable`` is True iff the layout is shiftable.
 
     A value: no operator changes a layout, each returns a new one.  A slots
@@ -79,18 +77,26 @@ class Layout:
         return cls(a.rows, a.cols, len(a.cells), is_shiftable(a), ((a, 0, 0, 0),))
 
     def materialize(self) -> SignedArray:
-        """Write every part's cells, in part order, into one array."""
+        """Write the parts' cells into one array, part by part: each run of
+        copies of one leaf takes that leaf's row-major columns, moved, in one
+        pass a column.  The array's columns are then in part order, which is
+        row-major when each part lies below the one before it, as along a
+        diagonal; otherwise the array sorts them when an order is first
+        needed (``_Cells``), which building it and checking it never do."""
         if len(self.parts) == 1:  # the leaf itself, when it is all of the array
             a, row_off, col_off, t = self.parts[0]
             if not (row_off or col_off or t) and a.rows == self.rows and a.cols == self.cols:
                 return a
-        cells: dict[tuple[int, int], int] = {}
-        for a, row_off, col_off, t in self.parts:
-            if cells or row_off or col_off or t:
-                _place(cells, a, t, row_off, col_off)
-            else:  # a leading part that moves nothing: one C-level dict copy
-                cells = a.cells.copy()
-        return SignedArray._trusted(self.rows, self.cols, cells)
+        row, col, entry = array("q"), array("q"), array("q")
+        parts = self.parts
+        for run in _runs(parts):
+            leaves, row_offs, col_offs, shifts = zip(*run)
+            rows, cols, entries = leaves[0].cells._sorted()
+            _append(row, rows, row_offs)
+            _append(col, cols, col_offs)
+            _append(entry, entries, shifts, away=True)
+        in_order = all(p[1] + p[0].rows <= q[1] for p, q in zip(parts, parts[1:]))
+        return SignedArray._trusted(self.rows, self.cols, _Cells(row, col, entry, in_order))
 
     def inflate_horizontal(self, k: int) -> Layout:
         return self._inflate(k, False, "horizontal")
@@ -139,6 +145,41 @@ class Layout:
             self.rows + row_off, self.cols + b.cols, self.size + b.size,
             b.shiftable, b.parts + moved,
         )
+
+
+def _append(out: array, column: array, moves: tuple, away: bool = False) -> None:
+    """Append ``column`` once for each of ``moves``, in order, each copy's
+    values plus the move, or with ``away`` moved that far from zero.  Copies
+    that move nothing are appended as they are; the others are written about
+    ``_BATCH`` values at a time: copies of a short column together, a long
+    column a slice at a time."""
+    if not any(moves):
+        for _ in moves:
+            out.extend(column)
+    elif len(column) * len(moves) <= _BATCH:  # one pass, as for every construction but the largest
+        values = column.tolist()
+        if away:
+            out.fromlist([e + t if e > 0 else e - t for t in moves for e in values])
+        else:
+            out.fromlist([v + m for m in moves for v in values])
+    elif len(column) > _BATCH:
+        for m in moves:
+            for lo in range(0, len(column), _BATCH):
+                _append(out, column[lo : lo + _BATCH], (m,), away)
+    else:
+        per = _BATCH // len(column)  # copies a pass
+        for at in range(0, len(moves), per):
+            _append(out, column, moves[at : at + per], away)
+
+
+def _runs(parts: tuple) -> list:
+    """The parts cut into runs of consecutive parts that copy one leaf."""
+    if parts and all(part[0] is parts[0][0] for part in parts):
+        return [parts]  # as an inflation lays them out
+    return [list(run) for _, run in groupby(parts, lambda part: id(part[0]))]
+
+
+_BATCH = 1 << 12  # about how many values ``_append`` writes at once
 
 
 def _degree(a: Layout, line: str) -> int:

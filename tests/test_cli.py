@@ -637,3 +637,16 @@ def test_oversize_witness_grid_is_refused_before_it_is_printed(capsys, monkeypat
     monkeypatch.setattr(cli, "_GRID_BYTES", _grid_bytes(4, 10))  # at the cap: printed
     code, out, _ = run_cli(capsys, "oracle", 4, 5, "--witness")
     assert code == 0 and len(out) == len("exists (nodes: 63)\n") + 160
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["seed", "S_2x4"], ["gen", "3", "6", "4", "--json"]])
+@pytest.mark.parametrize("stderr_too", [False, True])
+def test_missing_stdout_exits_1(argv, stderr_too, monkeypatch):
+    # a stdout that is None refuses every write, as a closed pipe does: one
+    # line on stderr when there is one, and exit 1 either way, no traceback
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", None if stderr_too else err)
+    assert main(argv) == 1
+    assert sys.stdout is None and sys.stderr is (None if stderr_too else err)
+    assert err.getvalue() == ("" if stderr_too else "cannot write output: standard output is missing\n")

@@ -285,7 +285,7 @@ def _assert_replay_is_chain(trace: RouteTrace) -> SignedArray:
 
 
 def test_replay_equals_operator_chain_on_sweep_grid():
-    # cells in insertion order and shape, at every feasible point; the
+    # cells in row-major order and shape, at every feasible point; the
     # digest pins them as the array-per-step operators made them
     digest = hashlib.sha256()
     for m in range(2, 41):
@@ -296,7 +296,7 @@ def test_replay_equals_operator_chain_on_sweep_grid():
                 line = f"{m},{r} {a.rows}x{a.cols} {list(a.cells.items())}\n"
                 digest.update(line.encode())
     assert digest.hexdigest() == (
-        "b344751f3a3d5eb5b7ba1fae560f70d709c3a87a6aab2b882bcf9dbe3489fe2a"
+        "c22a7f27803b06f3d8f3dc61ffef36e7dfe82f2f0ee0c85450afe1f82b014818"
     )
 
 

@@ -478,3 +478,47 @@ def test_parsers_restore_the_collector_state(parse, text, fails, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# Tokens inserted at or written over every position of a canonical JSON
+# text: brackets and separators that move the cuts between pieces, strings,
+# literals and numbers JSON reads otherwise, and the marks the scanner
+# looks for.
+JSON_MUTATIONS = [
+    "[", "]", "], [", ", [", "{", "}", '"', ",", " ", "\n", "1.5", "true", "null",
+    "-", "0", "1" + "0" * 5000, '"cells": [', "]}", '"m": 3, ',
+]
+
+
+def _json_mutants():
+    a, p = seed("S_2x3")
+    canonical = to_json(a, p)
+    yield canonical
+    for at in range(len(canonical) + 1):
+        for token in JSON_MUTATIONS:
+            yield canonical[:at] + token + canonical[at:]
+            yield canonical[:at] + token + canonical[at + 1:]
+
+
+def test_json_read_in_pieces_agrees_with_a_whole_read(monkeypatch):
+    # from_json reads a canonical text a piece at a time (here one cell a
+    # piece); whatever it returns or raises is what a read of the whole
+    # text returns or raises
+    import smr.formats as formats
+
+    def whole(text):
+        raise formats._Reread
+
+    monkeypatch.setattr(formats, "_PIECE", 1)
+    pieces_read = 0
+    for text in _json_mutants():
+        in_pieces = _read_outcome(from_json, text)
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_scan_json", whole)
+            assert in_pieces == _read_outcome(from_json, text), repr(text)
+        try:
+            formats._scan_json(text)
+        except (formats._Reread, ParseError):
+            continue
+        pieces_read += 1
+    assert pieces_read > 100  # spaces, newlines and -0, among others, read in pieces

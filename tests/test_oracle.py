@@ -180,7 +180,7 @@ def test_statuses_and_witnesses_pinned():
 
 def test_full_table_changes_no_answer(monkeypatch):
     # a table that stops growing after a handful of entries only skips less
-    monkeypatch.setattr(oracle, "_TABLE_BYTES", 500)
+    monkeypatch.setattr(oracle, "_TABLE_CAP_NUMERATOR", 500)
     digest, outcomes = _pinned_outcomes()
     assert digest == PINNED_DIGEST
     for (m, r), outcome in outcomes.items():

@@ -1,0 +1,143 @@
+"""The packed cell store: three array columns behind a read-only view."""
+
+from __future__ import annotations
+
+import pickle
+import random
+import tracemalloc
+
+import pytest
+
+from smr import (
+    ParseError,
+    Params,
+    SignedArray,
+    construct,
+    from_csv,
+    from_json,
+    inflate_horizontal,
+    join_horizontal,
+    seed,
+    to_csv,
+    to_grid,
+    to_json,
+    verify_smr,
+)
+from smr.cli import main
+
+BIG = 1 << 63  # one past the largest value an array("q") holds
+
+
+def test_out_of_order_repeat_before_off_grid_is_the_repeat():
+    # (1,1) breaks key order; the repeat of (1,2) still comes before (9,9)
+    with pytest.raises(ValueError, match=r"^duplicate cell \(1,2\)$"):
+        SignedArray.from_cells(2, 2, [(1, 2, 1), (1, 1, 1), (1, 2, 5), (9, 9, 9)])
+
+
+def test_out_of_order_off_grid_before_repeat_is_off_grid():
+    with pytest.raises(ValueError, match=r"^cell \(9,9\) outside the 2x2 grid$"):
+        SignedArray.from_cells(2, 2, [(1, 2, 1), (1, 1, 1), (9, 9, 9), (1, 2, 5)])
+
+
+def test_out_of_order_input_is_stored_row_major():
+    a = SignedArray.from_cells(2, 3, [(2, 1, 4), (1, 3, 2), (1, 1, 1), (2, 3, 3)])
+    assert list(a.cells.items()) == [((1, 1), 1), ((1, 3), 2), ((2, 1), 4), ((2, 3), 3)]
+    assert a == SignedArray.from_cells(2, 3, sorted([(2, 1, 4), (1, 3, 2), (1, 1, 1), (2, 3, 3)]))
+
+
+@pytest.mark.parametrize("entry", [BIG, -BIG - 1, 10**30])
+def test_entry_past_64_bits_is_a_door_error(entry):
+    message = rf"^cell \(1,2\) or its entry {entry} does not fit in a 64-bit integer$"
+    with pytest.raises(ValueError, match=message):
+        SignedArray.from_cells(1, 2, [(1, 1, 1), (1, 2, entry)])
+    with pytest.raises(ValueError, match=message):  # out of order first: the dict door
+        SignedArray.from_cells(1, 2, [(1, 2, entry), (1, 1, 1)])
+    # the extremes themselves fit
+    assert SignedArray.from_cells(1, 2, [(1, 1, BIG - 1), (1, 2, -BIG)]).cells[1, 2] == -BIG
+
+
+def test_verify_of_an_entry_past_64_bits_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"m": 1, "n": 2, "r": 2, "s": 1, "cells": [[1, 1, %d], [1, 2, -1]]}' % BIG)
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse failure in {path}: cell (1,1) or its entry {BIG} does not fit in a 64-bit integer\n"
+    )
+
+
+def test_a_constructed_array_holds_at_most_32_bytes_a_cell():
+    seed("S_2x4")  # the seed cache is not the array's
+    tracemalloc.start()
+    try:
+        a, _ = construct(2, 60000, 60000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(a.cells) == 120000
+    assert held <= 32 * len(a.cells)
+
+
+def test_values_cannot_write_the_store():
+    a, _ = construct(4, 10, 5)
+    values = a.cells.values()
+    with pytest.raises(TypeError):
+        values[0] = 99
+    with pytest.raises(TypeError):
+        values[:1] = values[1:2]
+    assert a == construct(4, 10, 5)[0]
+
+
+def _sources(m: int, n: int, r: int) -> dict[str, SignedArray]:
+    a, _ = construct(m, n, r)
+    p = Params(m, n, r, 2)
+    triples = [(i, j, e) for (i, j), e in a.cells.items()]
+    random.Random(m * r).shuffle(triples)
+    return {
+        "construct": a,
+        "from_json": from_json(to_json(a, p))[0],
+        "from_csv": from_csv(to_csv(a, p))[0],
+        "shuffled from_cells": SignedArray.from_cells(m, n, triples),
+    }
+
+
+@pytest.mark.parametrize("m,n,r", [(2, 8, 8), (4, 10, 5), (6, 24, 8), (7, 21, 6), (10, 35, 7)])
+def test_equality_and_hash_agree_across_sources(m, n, r):
+    sources = _sources(m, n, r)
+    first = sources["construct"]
+    for name, a in sources.items():
+        assert a == first and hash(a) == hash(first), name
+        assert list(a.cells.items()) == sorted(first.cells.items()), name
+    assert len({*sources.values()}) == 1
+    other = SignedArray.from_cells(m, n, [(i, j, -e) for (i, j), e in first.cells.items()])
+    assert other != first
+
+
+@pytest.mark.parametrize("m,n,r", [(2, 8, 8), (6, 24, 8), (7, 21, 6)])
+def test_pickle_round_trip_returns_an_equal_array(m, n, r):
+    for name, a in _sources(m, n, r).items():
+        again = pickle.loads(pickle.dumps(a))
+        assert again == a and hash(again) == hash(a), name
+
+
+def test_arrays_written_in_part_order_read_row_major():
+    # an inflation and a join write their parts one after another; every
+    # read sees the cells row-major, and the writers print them so
+    a, p = seed("S_2x4")
+    b, _ = seed("S_2x3")
+    for wide in (inflate_horizontal(a, 3), join_horizontal(inflate_horizontal(a, 2), b)):
+        keys = list(wide.cells)
+        assert keys == sorted(keys)
+        assert [wide.cells[key] for key in keys] == list(wide.cells.values())
+        q = Params(wide.rows, wide.cols, len(wide.cells) // wide.rows, 2)
+        assert verify_smr(wide, q).ok
+        for write, read in ((to_json, from_json), (to_csv, from_csv)):
+            assert read(write(wide, q)) == (wide, q)
+        first_row = [int(x) for x in to_grid(wide).splitlines()[0].split() if x != "."]
+        assert first_row == [e for (i, _), e in wide.cells.items() if i == 1]
+
+
+def test_a_parse_of_a_non_integer_entry_still_fails():
+    with pytest.raises(ParseError, match=r"entry at \(1,2\) is not an integer: 1.5"):
+        from_json('{"m": 1, "n": 2, "r": 2, "s": 1, "cells": [[1, 1, 1], [1, 2, 1.5]]}')
