@@ -7,11 +7,18 @@ recording the applied operator sequence so a result can be replayed exactly.
 ``replay`` runs a trace on ``transforms.Layout`` values: seeds and spread
 blocks enter as one-part layouts, the inflations and joins rearrange parts,
 and the array is written once, when the last step's layout is materialized.
+``construct`` runs the same steps, but keeps the two pieces a point is made
+of, its width-4 base and its degree-c tail, which depend only on m and
+r mod 4, so that every r at one m builds them once.  A piece is kept as the
+one-part layout of its array, keyed by the sub-trace that builds it, for
+points of at most 170 rows and at most 256 pieces (``construct`` gives
+their memory); kept arrays are shared between calls, as arrays are
+immutable.  ``replay`` keeps nothing of the traces it is given.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 from .core import SignedArray
@@ -158,6 +165,26 @@ def _apply(st: TraceStep, stack: list[Layout | CompactBlock]) -> None:
     stack.append(fn(*operands, *values))
 
 
+# construct keeps the pieces of points with at most _PIECE_ROWS rows, and
+# at most _PIECES pieces; a piece holds at most 6 cells a row.
+_PIECE_ROWS = 170
+_PIECES = 256
+
+
+@lru_cache(maxsize=_PIECES)
+def _piece(steps: tuple[TraceStep, ...]) -> Layout:
+    """The one-part layout of a sub-trace of construct's, kept: its steps run
+    through ``_apply`` as replay runs them, its array materialized once, and
+    its own shiftability flag, so nothing is rescanned.  The steps are the
+    key: they fix the piece exactly.  Two threads may build one piece at
+    once; they build equal arrays, and the cache keeps one."""
+    stack: list[Layout | CompactBlock] = []
+    for st in steps:
+        _apply(st, stack)
+    (top,) = stack
+    return Layout(top.rows, top.cols, top.size, top.shiftable, ((top.materialize(), 0, 0, 0),))
+
+
 def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     """Build an (m, n; r, 2) rectangle, or raise InfeasibleError.
 
@@ -186,6 +213,20 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     tail alone.  The width-4 and degree-6 bases are one rule too: copies of
     the S_2x4 or S_4x12 seed along the diagonal, joined after a cap seed
     chosen by m mod 4 when the seed's row count does not divide m.
+
+    The base and the tail are kept.  At m <= 170 rows, each is built once
+    per process from its own sub-trace, which is also its key, and kept as
+    a one-part layout of its array with its own shiftability flag: at most
+    256 pieces, the least recently used dropped first.  construct then
+    applies its own ``inflate_horizontal`` and ``join_horizontal`` steps
+    through the same ``_apply`` that ``replay`` uses, so it returns
+    ``replay(trace)``'s array.  A piece holds at most 6m cells at about 24
+    bytes a cell, so the pieces hold at most 256 x 6 x 170 x 24 B, about
+    6 MiB (3.98 MiB for the 256 largest), and after the sweep of every
+    m, r <= 40 the 116 kept pieces hold 419 KiB under tracemalloc.  A kept
+    array is shared between calls, and may itself be the array returned
+    (rules 3 and 4, or one copy and no tail); that is safe because arrays
+    are immutable.  A taller point runs ``replay(trace)`` and keeps nothing.
     """
     verdict = feasibility(m, n, r)
     if not verdict.feasible:
@@ -193,38 +234,44 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
 
     tail = _tail(m, r % 4)
     if m > 2 and r in (3, 5):  # rules 3 and 4; m is even, since r is odd
-        steps = tail
+        base, tail, inflate = tail, (), ()
     else:
-        k = (r - _TAIL_DEGREE[r % 4]) // 4
-        steps = _width4(m) + [_step("inflate_horizontal", k=k)]
-        if tail:
-            steps += tail + [_step("join_horizontal")]
-
-    trace = RouteTrace(tuple(steps))
-    return replay(trace), trace
+        base = _width4(m)
+        inflate = (_step("inflate_horizontal", k=(r - _TAIL_DEGREE[r % 4]) // 4),)
+    join = (_step("join_horizontal"),) if tail else ()
+    trace = RouteTrace(base + inflate + tail + join)
+    if m > _PIECE_ROWS:  # a piece this tall is built for its point alone
+        return replay(trace), trace
+    stack: list[Layout | CompactBlock] = [_piece(base)]
+    for st in inflate:
+        _apply(st, stack)
+    if tail:
+        stack.append(_piece(tail))
+        _apply(join[0], stack)
+    return stack[0].materialize(), trace
 
 
 # Row degree c of the tail that completes degree r, indexed by r mod 4.
 _TAIL_DEGREE = (0, 5, 6, 3)
 
 
-def _width4(m: int) -> list[TraceStep]:
+def _width4(m: int) -> tuple[TraceStep, ...]:
     """Shiftable (m, 2m; 4, 2) for any m >= 2."""
     if m == 2:  # rules 1 and 2 use the bare seed, not its one-copy inflation
-        return [_step("seed", id="S_2x4")]
+        return (_step("seed", id="S_2x4"),)
     return _diagonal(m, 4)
 
 
-def _tail(m: int, residue: int) -> list[TraceStep]:
+def _tail(m: int, residue: int) -> tuple[TraceStep, ...]:
     """Steps for the (m, ·; c, 2) tail, c = _TAIL_DEGREE[residue]; none at c = 0."""
     if residue == 0:
-        return []
+        return ()
     if m == 2:
-        return [_step("seed", id="S_2x3")]
+        return (_step("seed", id="S_2x3"),)
     if residue == 2:
         return _diagonal(m, 6)
     block = "five_column_block" if residue == 1 else "three_column_block"
-    return [_step(block, m=m), _step("spread")]
+    return (_step(block, m=m), _step("spread"))
 
 
 # Diagonal bases by row degree c: (base seed, {m mod 4: cap seed}).  The cap
@@ -239,20 +286,20 @@ def _rows(seed_id: str) -> int:
     return seed(seed_id)[1].m
 
 
-def _diagonal(m: int, c: int) -> list[TraceStep]:
+def _diagonal(m: int, c: int) -> tuple[TraceStep, ...]:
     """Shiftable (m, cm/2; c, 2), c = 4 or 6: the base seed inflated
     diagonally, joined after the cap seed for m mod 4 when there is one."""
     base, caps = _DIAGONAL[c]
     cap = caps.get(m % 4)
     if cap is None:
-        return [_step("seed", id=base), _step("inflate_diagonal", k=m // _rows(base))]
+        return (_step("seed", id=base), _step("inflate_diagonal", k=m // _rows(base)))
     if m == _rows(cap) and m % 2:  # odd m = 3, 5 is the cap alone
-        return [_step("seed", id=cap)]
+        return (_step("seed", id=cap),)
     # at even m = 6 the inflation has k = 0 and is still recorded
     k = (m - _rows(cap)) // _rows(base)
-    return [
+    return (
         _step("seed", id=base),
         _step("inflate_diagonal", k=k),
         _step("seed", id=cap),
         _step("join_diagonal"),
-    ]
+    )

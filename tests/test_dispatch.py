@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import pytest
 
@@ -32,7 +33,7 @@ from smr import (
     verify_smr,
 )
 from smr import transforms
-from smr.dispatch import _OPS, _apply, _seed_layout
+from smr.dispatch import _OPS, _PIECE_ROWS, _PIECES, _apply, _piece, _seed_layout
 from smr.transforms import Layout
 
 from goldens import (
@@ -234,9 +235,11 @@ def test_construct_scans_no_operand_for_shiftability(monkeypatch):
     # every operand that an inflation or a join's first place needs shiftable
     # is a seed, an inflation or a join whose fixed operand is a shiftable
     # seed, so its layout already knows: no route rescans an array.  Each
-    # seed's layout is scanned once, when first built, so build them all first
+    # seed's layout is scanned once, when first built, so build them all
+    # first; construct's kept pieces are cleared, so that each is built again
     for sid in SEED_IDS:
         _seed_layout(sid)
+    _piece.cache_clear()
     scans = []
     monkeypatch.setattr(transforms, "is_shiftable", lambda a: scans.append(a) or is_shiftable(a))
     for m in range(2, 13):
@@ -245,6 +248,70 @@ def test_construct_scans_no_operand_for_shiftability(monkeypatch):
             if feasibility(m, n, r).feasible:
                 construct(m, n, r)
     assert scans == []
+
+
+def _sweep_points() -> list[tuple[int, int, int]]:
+    points = [(m, r if m == 2 else m * r // 2, r) for m in range(2, 41) for r in range(3, 41)]
+    return [point for point in points if feasibility(*point).feasible]
+
+
+def _rows_and_items(a: SignedArray) -> tuple:
+    return a.rows, a.cols, list(a.cells.items())
+
+
+def test_kept_pieces_build_what_replay_builds():
+    # row-major items and shape at every feasible sweep point: first as each
+    # piece is built, then from the pieces kept
+    points = _sweep_points()
+    assert len(points) == 1103
+    _piece.cache_clear()
+    for warm in (False, True):
+        for m, n, r in points:
+            a, trace = construct(m, n, r)
+            assert _rows_and_items(a) == _rows_and_items(replay(trace)), (m, r, warm)
+    assert _piece.cache_info().currsize == 116
+
+
+def test_a_point_above_the_row_bound_keeps_nothing():
+    _piece.cache_clear()
+    m = _PIECE_ROWS + 2  # even: every rule with a tail applies
+    for r in (4, 5, 6, 7, 9):
+        a, trace = construct(m, m * r // 2, r)
+        assert a == replay(trace)
+    assert _piece.cache_info().currsize == 0
+    construct(_PIECE_ROWS, _PIECE_ROWS * 3, 6)
+    assert _piece.cache_info().currsize == 2  # the width-4 base and the degree-6 tail
+
+
+def test_kept_pieces_never_pass_the_cap():
+    # each m up to the row bound has two pieces (m = 2 and odd m) or four
+    # (even m > 2), more than the cap holds in all
+    _piece.cache_clear()
+    for m in range(2, _PIECE_ROWS + 1):
+        for r in (4, 7) if m == 2 else (4, 6, 7, 9) if m % 2 == 0 else (4, 6):
+            construct(m, r if m == 2 else m * r // 2, r)
+            assert _piece.cache_info().currsize <= _PIECES, (m, r)
+    assert _piece.cache_info().currsize == _PIECES
+
+
+def test_threads_building_pieces_at_once_get_the_serial_arrays():
+    points = _sweep_points()
+    serial = [_rows_and_items(construct(*point)[0]) for point in points]
+    _piece.cache_clear()
+    start = threading.Barrier(2)
+    results: list[list] = [[], []]
+
+    def build(out: list) -> None:
+        start.wait()
+        out.extend(_rows_and_items(construct(*point)[0]) for point in points)
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results[0] == serial
+    assert results[1] == serial
 
 
 def _st(op: str, **args: object) -> TraceStep:

@@ -311,6 +311,18 @@ def test_every_refutation_is_settled_at_the_root():
         assert outcome.status == "not_exists" and outcome.nodes <= 1, (m, r, outcome)
         refuted += 1
     assert refuted > 1000
+    # and conversely: no feasible point is settled there, so at a budget of
+    # one node the root refutes exactly the points the criterion rejects
+    cutoffs = 0
+    for m in range(1, 101):
+        for r in range(1, 101):
+            outcome = decide(m, r, 1)
+            if feasibility(m, m * r // 2, r).feasible:
+                assert outcome.status == "cutoff", (m, r, outcome)
+                cutoffs += 1
+            else:
+                assert outcome.status == "not_exists" and outcome.nodes <= 1, (m, r, outcome)
+    assert cutoffs == 7253
 
 
 @pytest.mark.parametrize("m,r", [(8, 13), (9, 10), (13, 14)])
