@@ -12,11 +12,15 @@ Indices are 1-based throughout the public model.  An array keeps its cells
 packed: three ``array("q")`` columns of row, column and entry, about 24
 bytes a cell, read row-major (see ``_Cells``).  ``cells`` is a read-only
 ``Mapping`` view over them, from (row, col) to entry, and a write to it
-raises ``TypeError``.  Arrays are immutable after construction, which is why the
-unchecked outputs of the transforms and the cached seeds are safe to share,
-between calls and between threads.  Parameters, dimensions, indices and
-entries must be exact ``int``s: ``bool`` is a subclass of ``int`` and is
-rejected, as are floats such as ``1.0``.
+raises ``TypeError``.  Cells from outside enter through one loop,
+``_checked``: straight into the columns while the keys rise, and checked
+against a dict of the cells from the first triple that does not; the
+columns alone decide what fits in 64 bits.  Arrays are immutable after
+construction, which is why the unchecked outputs of the transforms and the
+cached seeds are safe to share, between calls and between threads.
+Parameters, dimensions, indices and entries must be exact ``int``s:
+``bool`` is a subclass of ``int`` and is rejected, as are floats such as
+``1.0``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import ItemsView, Mapping
-from itertools import chain
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 
@@ -205,67 +208,56 @@ def _checked(rows: int, cols: int, triples: Iterable) -> _Cells:
     past a signed 64-bit integer are ``ValueError``s; a triple that is not
     iterable and an unhashable index are ``TypeError``s, from the unpacking
     and a dict lookup.  The first defect in input order is raised.  The
-    triples may be tuples or the lists ``json.loads`` returns: the parsers
-    hand theirs in as they are, through ``formats._array``, which turns
-    either error into a ``ParseError``.
+    triples may be tuples or the lists ``json.loads`` returns, which the
+    parsers hand in as they are.
 
-    While the keys rise, as in every canonical file, seed and construction,
-    no key can repeat, and each triple is appended to the columns with no
-    Python object kept per cell.  From the first triple that is out of
-    order or in doubt on, ``_checked_by_key`` takes over with the cells so
-    far."""
+    One loop, in two states.  While the keys rise, as in every canonical
+    file, seed and construction, no key can repeat: a triple that passes one
+    compound test is kept in the columns alone.  The first that fails it
+    starts a dict of the cells so far, which finds a repeat as its triple
+    comes; every later triple is checked rule by rule, and one sort of the
+    keys gives the columns at the end.  Every cell is appended to the
+    ``array("q")`` columns, whose ``OverflowError`` alone decides what fits."""
     if type(rows) is not int or type(cols) is not int:
         raise ValueError(f"dimensions are not integers: {rows!r}x{cols!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"negative dimensions {rows}x{cols}")
     row, col, entry = array("q"), array("q"), array("q")
+    cells = None  # (row, col) -> entry, once a triple has left key order
     last_i, last_j = 1, 0  # below every key on the grid
-    triples = iter(triples)
     for i, j, e in triples:
-        if not (
-            type(i) is int and type(j) is int and type(e) is int
-            and (i > last_i or i == last_i and j > last_j) and i <= rows and 1 <= j <= cols
+        if (
+            type(i) is int and i >= last_i and type(j) is int and type(e) is int
+            and (i > last_i or j > last_j) and i <= rows and 1 <= j <= cols
         ):
-            break
+            last_i, last_j = i, j
+        else:
+            if cells is None:
+                cells = dict(zip(zip(row, col), entry))
+                last_i = rows + 1  # past the grid: no later triple passes the test
+            key = (i, j)
+            if key in cells:
+                raise ValueError(f"duplicate cell ({i},{j})")
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ValueError(f"cell ({i},{j}) outside the {rows}x{cols} grid")
+            if type(e) is not int:
+                raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
+            cells[key] = e
         try:
             row.append(i)
             col.append(j)
             entry.append(e)
         except OverflowError:
-            del row[len(entry):], col[len(entry):]
-            break
-        last_i, last_j = i, j
-    else:
-        return _Cells(row, col, entry)
-    return _checked_by_key(rows, cols, _Cells(row, col, entry), chain([(i, j, e)], triples))
-
-
-_Q = 1 << 63  # array("q") holds -_Q .. _Q - 1
-
-
-def _checked_by_key(rows: int, cols: int, taken: _Cells, triples: Iterator) -> _Cells:
-    """The door for the rest of ``triples`` once they left key order: each cell
-    in a dict, so that a repeat is found as its triple comes, then the dict
-    sorted into columns.  The cells ``taken`` before are its first entries."""
-    cells = dict(taken.items())
-    for i, j, e in triples:
-        key = (i, j)
-        if key in cells:
-            raise ValueError(f"duplicate cell ({i},{j})")
-        if type(i) is not int or type(j) is not int:
-            raise ValueError(f"cell index ({i!r},{j!r}) is not an integer pair")
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ValueError(f"cell ({i},{j}) outside the {rows}x{cols} grid")
-        if type(e) is not int:
-            raise ValueError(f"entry at ({i},{j}) is not an integer: {e!r}")
-        if not (i < _Q and j < _Q and -_Q <= e < _Q):
-            raise ValueError(f"cell ({i},{j}) or its entry {e} does not fit in a 64-bit integer")
-        cells[key] = e
-    keys = sorted(cells)
-    return _Cells(
-        array("q", [i for i, _ in keys]), array("q", [j for _, j in keys]),
-        array("q", [cells[key] for key in keys]),
-    )
+            raise ValueError(
+                f"cell ({i},{j}) or its entry {e} does not fit in a 64-bit integer"
+            ) from None
+    if cells is not None:  # the columns in key order
+        keys = sorted(cells)
+        row, col = array("q", [i for i, _ in keys]), array("q", [j for _, j in keys])
+        entry = array("q", [cells[key] for key in keys])
+    return _Cells(row, col, entry)
 
 
 def _pairs(cells: Mapping) -> Iterator[tuple]:

@@ -100,24 +100,23 @@ def five_column_block(m: int) -> CompactBlock:
     """
     if type(m) is not int or m < 4 or m % 2:
         raise ValueError(f"row count must be an even integer of at least 4, got {m!r}")
-    cells = _raw_five_column_cells(m)
+    entries = _raw_five_column_entries(m)
     if m % 4 == 0:
-        return CompactBlock(SignedArray._trusted(m, 5, cells), "five")
-    entries = cells._columns[2]  # no array holds these cells yet
+        return CompactBlock(SignedArray._trusted(m, 5, _full(m, 5, entries)), "five")
     for upper in ((m - 2) // 4, (3 * m - 2) // 4):
         for at in (5 * upper - 5, 5 * upper - 1):  # columns 1 and 5 of row upper
             entries[at], entries[at + 5] = entries[at + 5], entries[at]
-    return CompactBlock(SignedArray._trusted(m, 5, cells), "five_repaired")
+    return CompactBlock(SignedArray._trusted(m, 5, _full(m, 5, entries)), "five_repaired")
 
 
-def _raw_five_column_cells(m: int) -> _Cells:
+def _raw_five_column_entries(m: int) -> list[int]:
     half = m // 2
     entries: list[int] = []
     for i in range(1, half + 1):
         entries += (i, half + 2 * i - 1, -m - i, -3 * half - i, 2 * m - i + 1)
     for i in range(half + 1, m + 1):
         entries += (half - i, -3 * half + i - 1, 5 * half - 2 * i + 2, 3 * half + i, -3 * m + i - 1)
-    return _full(m, 5, entries)
+    return entries
 
 
 def _full(m: int, width: int, entries: list[int]) -> _Cells:

@@ -284,11 +284,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
 
     # the frames of values n-1 .. 1 hold the rows of n .. 2; (p, q) holds 1's
     rows = [frame[2:] for frame in frames[1:]] + [(p, q)]
-    cells: dict[tuple[int, int], int] = {}
-    for k, (p, q) in zip(range(n, 0, -1), rows):
-        cells[p + 1, k] = k
-        cells[q + 1, k] = -k
-    witness = SignedArray(m, n, cells)
+    pairs = zip(range(n, 0, -1), rows)
+    triples = sorted([t for k, (p, q) in pairs for t in ((p + 1, k, k), (q + 1, k, -k))])
+    witness = SignedArray.from_cells(m, n, triples)  # row-major: the door needs no dict
     report = verify_smr(witness, Params(m, n, r, 2))
     if not report.ok:  # raised, not asserted: python -O must not skip it
         raise AssertionError(f"search produced an invalid witness: {report}")

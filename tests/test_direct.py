@@ -14,7 +14,7 @@ from smr import (
     three_column_block,
     verify_smr,
 )
-from smr.direct import _raw_five_column_cells
+from smr.direct import _raw_five_column_entries
 
 from goldens import (
     GRID_8x12,
@@ -92,10 +92,10 @@ def test_five_column_block_rejects_odd_small_or_two():
 def test_raw_five_column_degeneracy_rows(m):
     # for m = 2 mod 4 the unrepaired block collapses in exactly two rows
     assert m % 4 == 2
-    cells = _raw_five_column_cells(m)
+    entries = _raw_five_column_entries(m)  # row-major, five a row
     degenerate = []
     for i in range(1, m + 1):
-        mags = [abs(cells[i, j]) for j in range(1, 6)]
+        mags = [abs(e) for e in entries[5 * i - 5 : 5 * i]]
         if len(set(mags)) != 5:
             degenerate.append(i)
     assert degenerate == [(m + 2) // 4, (3 * m + 2) // 4]

@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smr import (
     ParseError,
@@ -141,3 +143,98 @@ def test_arrays_written_in_part_order_read_row_major():
 def test_a_parse_of_a_non_integer_entry_still_fails():
     with pytest.raises(ParseError, match=r"entry at \(1,2\) is not an integer: 1.5"):
         from_json('{"m": 1, "n": 2, "r": 2, "s": 1, "cells": [[1, 1, 1], [1, 2, 1.5]]}')
+
+
+# the door over triple lists on a grid of at most 3x3: valid cells, and each
+# defect the door names, at any place in any order
+_GRID = st.integers(0, 3)
+_VALID = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(-9, 9))
+_ODD = st.sampled_from([0, -1, 4, 1.0, True, "1", [1], BIG, -BIG - 1, BIG - 1, -BIG])
+
+
+@st.composite
+def _triples(draw, defects: bool) -> tuple[int, int, list]:
+    rows, cols = draw(_GRID), draw(_GRID)
+    cells = {}
+    for i, j, e in draw(st.lists(_VALID, max_size=12)):
+        if i <= rows and j <= cols:
+            cells[i, j] = e
+    valid = [(i, j, e) for (i, j), e in sorted(cells.items())]
+    triples = list(valid)
+    if defects and valid:
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(triples)))
+            triple = list(draw(st.sampled_from(valid)))
+            kind = draw(st.sampled_from(["repeat", "odd", "length"]))
+            if kind == "repeat":  # the same key again, maybe with its entry changed
+                triple[2] = draw(st.integers(-9, 9))
+            elif kind == "odd":  # one or two fields
+                for field in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)):
+                    triple[field] = draw(_ODD)
+            else:  # a triple of another length, or no sequence at all
+                triple = draw(st.sampled_from([triple[:2], triple + [1], 7]))
+            if triple != 7 and draw(st.booleans()):  # a tuple, or the list JSON gives
+                triple = tuple(triple)
+            triples.insert(at, triple)
+    if draw(st.booleans()):
+        triples = draw(st.permutations(triples))
+    return rows, cols, triples
+
+
+def _outcome(rows: int, cols: int, triples: list) -> object:
+    try:
+        return SignedArray.from_cells(rows, cols, triples)
+    except (ValueError, TypeError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_triples(defects=False))
+def test_valid_cells_in_any_order_give_the_array_of_their_sorted_list(case):
+    rows, cols, triples = case
+    a = SignedArray.from_cells(rows, cols, triples)
+    assert list(a.cells.items()) == [((i, j), e) for i, j, e in sorted(triples)]
+    assert a == SignedArray.from_cells(rows, cols, sorted(triples))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_triples(defects=True))
+def test_a_failing_list_raises_as_its_shortest_failing_prefix(case):
+    rows, cols, triples = case
+    outcome = _outcome(rows, cols, triples)
+    valid = all(
+        type(t) is not int and len(t) == 3 and all(type(x) is int for x in t)
+        and 1 <= t[0] <= rows and 1 <= t[1] <= cols and -BIG <= t[2] < BIG
+        for t in triples
+    ) and len({(t[0], t[1]) for t in triples}) == len(triples)
+    assert isinstance(outcome, SignedArray) == valid
+    if valid:
+        return
+    first = next(k for k in range(len(triples) + 1) if _outcome(rows, cols, triples[:k]) == outcome)
+    assert all(isinstance(_outcome(rows, cols, triples[:k]), SignedArray) for k in range(first))
+    # the cells before it in key order, then in reverse: the same error either way
+    before = sorted(triples[: first - 1], key=lambda t: (t[0], t[1]))
+    for cells in (before, before[::-1]):
+        assert _outcome(rows, cols, cells + triples[first - 1 : first]) == outcome
+
+
+def test_a_long_leaf_inflates_a_slice_at_a_time():
+    # 8,200 values a column, past _append's 4,096-value batch
+    a, _ = construct(2, 4100, 4100)
+    wide = inflate_horizontal(a, 2)
+    quantum = len(a.cells) // 2
+    expected = dict(a.cells.items())
+    for (i, j), e in a.cells.items():
+        expected[i, j + 4100] = e + quantum if e > 0 else e - quantum
+    assert dict(wide.cells.items()) == expected
+    assert list(wide.cells) == sorted(expected)
+    assert verify_smr(wide, Params(2, 8200, 8200, 2)).ok
+
+
+@pytest.mark.parametrize("key", [5, "ab", (1,), (1, 2, 3), ("a", 1)])
+def test_a_key_that_is_not_a_pair_is_not_in_the_cells(key):
+    a, _ = seed("S_2x4")
+    with pytest.raises(KeyError):
+        a.cells[key]
+    assert key not in a.cells
+    assert a.cells.get(key) is None
