@@ -10,15 +10,16 @@ gives ms values and admits no array with r != s; it is read as a typo.
 
 Indices are 1-based throughout the public model.  An array keeps its cells
 packed: three ``array("q")`` columns of row, column and entry, about 24
-bytes a cell, read row-major (see ``_Cells``).  ``cells`` is a read-only
-``Mapping`` view over them, from (row, col) to entry, and a write to it
-raises ``TypeError``.  Cells from outside enter through one loop,
-``_checked``: straight into the columns while the keys rise, and checked
-against a dict of the cells from the first triple that does not; the
-columns alone decide what fits in 64 bits.  Arrays are immutable after
-construction, which is why the unchecked outputs of the transforms and the
-cached seeds are safe to share, between calls and between threads.
-Parameters, dimensions, indices and entries must be exact ``int``s:
+bytes a cell, read row-major; a construction's come in the order it wrote
+them, with the function that moves them row-major on the first ordered read
+(see ``_Cells``).  ``cells`` is a read-only ``Mapping`` view over them, from
+(row, col) to entry, and a write to it raises ``TypeError``.  Cells from
+outside enter through one loop, ``_checked``: straight into the columns
+while the keys rise, and checked against a dict of the cells from the first
+triple that does not; the columns alone decide what fits in 64 bits.  Arrays
+are immutable after construction, which is why the unchecked outputs of the
+transforms and the cached seeds are safe to share, between calls and between
+threads.  Parameters, dimensions, indices and entries must be exact ``int``s:
 ``bool`` is a subclass of ``int`` and is rejected, as are floats such as
 ``1.0``.
 """
@@ -29,7 +30,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import ItemsView, Mapping
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 
 class DimensionError(ValueError):
@@ -125,12 +126,12 @@ class _Cells(Mapping):
     columns of rows, columns and entries, one item a cell, no key twice.
 
     The columns are row-major, or, as ``Layout.materialize`` writes them,
-    in part order: each part's cells row-major, the parts in column order,
-    which a stable sort by row makes row-major.  That sort runs the first
-    time an order is needed, and ``_sorted()`` returns the row-major
-    columns; counts and sums read ``_columns`` as it stands.  ``_columns``
-    is (rows, cols, entries, whether row-major), replaced whole, so that
-    every reader sees one consistent tuple.  Nothing writes to a column.
+    in part order with ``order``, a function of the three columns that
+    returns them row-major, as a stable sort by row would.  It runs the
+    first time an order is needed, and ``_sorted()`` returns the row-major
+    columns; counts and sums read ``_columns`` as it stands: (rows, cols,
+    entries, order or None once row-major), replaced whole, so that every
+    reader sees one consistent tuple.  Nothing writes to a column.
 
     A lookup bisects the row column, then the column slice of that row;
     iteration is row-major.  ``values()`` is a read-only ``memoryview`` of
@@ -139,15 +140,14 @@ class _Cells(Mapping):
 
     __slots__ = ("_columns",)
 
-    def __init__(self, row: array, col: array, entry: array, in_order: bool = True):
-        self._columns = (row, col, entry, in_order)
+    def __init__(self, row: array, col: array, entry: array, order: Callable | None = None):
+        self._columns = (row, col, entry, order)
 
     def _sorted(self) -> tuple[array, array, array]:
-        row, col, entry, in_order = self._columns
-        if not in_order:
-            order = sorted(range(len(row)), key=row.__getitem__)
-            row, col, entry = [array("q", [c[x] for x in order]) for c in (row, col, entry)]
-            self._columns = (row, col, entry, True)
+        row, col, entry, order = self._columns
+        if order is not None:
+            row, col, entry = order(row, col, entry)
+            self._columns = (row, col, entry, None)
         return row, col, entry
 
     def __getitem__(self, key: object) -> int:

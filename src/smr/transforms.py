@@ -16,9 +16,13 @@ has its own band of columns, and the parts run in order of column offset.
 A join only appends parts and an inflation lays out copies of its
 materialized operand, so a chain of operators writes each output cell
 once, when ``Layout.materialize`` builds the array.  It writes the parts
-one after another, each a leaf's row-major columns moved, and leaves the
-row-major sort to the array's first ordered read: building and checking
-an array need no order.  The array is made with ``SignedArray._trusted``:
+one after another, each a leaf's row-major columns moved, and records the
+bands they form: runs of full-height copies side by side, and parts
+stacked down the rows.  The array's first ordered read moves the bands
+row-major with strided slices (``_row_major``); a store they do not
+describe, made from an array with uneven rows, is sorted by row
+(``_by_row``), the one other way to row order.  Building and checking an
+array need no order.  The array is made with ``SignedArray._trusted``:
 its cells are leaf cells at ``int`` offsets inside its own shape, so the
 full validation would only repeat what the leaves already passed.
 Shiftability lives in the layout, not in the array: ``Layout.of`` scans
@@ -31,6 +35,7 @@ materialized array out.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import groupby
 
 from .core import SignedArray, _Cells, is_shiftable
@@ -79,24 +84,44 @@ class Layout:
     def materialize(self) -> SignedArray:
         """Write the parts' cells into one array, part by part: each run of
         copies of one leaf takes that leaf's row-major columns, moved, in one
-        pass a column.  The array's columns are then in part order, which is
-        row-major when each part lies below the one before it, as along a
-        diagonal; otherwise the array sorts them when an order is first
-        needed (``_Cells``), which building it and checking it never do."""
+        pass a column.  The array's columns are then in part order, and the
+        walk over the runs records their bands, without reading a column:
+        a run of full-height copies, which lie side by side, is one band of
+        k copies; a part of fewer rows that lies below the one before it
+        extends that one's band, and any other starts a band of one copy.
+        One band of one copy is row-major.  Otherwise the array gets its
+        order from ``_row_major`` when an order is first needed
+        (``_Cells``), which building it and checking it never do."""
         if len(self.parts) == 1:  # the leaf itself, when it is all of the array
             a, row_off, col_off, t = self.parts[0]
             if not (row_off or col_off or t) and a.rows == self.rows and a.cols == self.cols:
                 return a
         row, col, entry = array("q"), array("q"), array("q")
-        parts = self.parts
-        for run in _runs(parts):
+        bands: list[tuple[int, int]] = []  # (copies, cells a copy), in part order
+        below = None  # the first row under the last part, while its band may grow
+        for run in _runs(self.parts):
             leaves, row_offs, col_offs, shifts = zip(*run)
             rows, cols, entries = leaves[0].cells._sorted()
             _append(row, rows, row_offs)
             _append(col, cols, col_offs)
             _append(entry, entries, shifts, away=True)
-        in_order = all(p[1] + p[0].rows <= q[1] for p, q in zip(parts, parts[1:]))
-        return SignedArray._trusted(self.rows, self.cols, _Cells(row, col, entry, in_order))
+            size, height = len(rows), leaves[0].rows
+            if not size:
+                continue
+            if height == self.rows:  # full height, so at row offset 0
+                bands.append((len(run), size))
+                below = None
+                continue
+            for row_off in row_offs:
+                if below is not None and below <= row_off:
+                    bands[-1] = (1, bands[-1][1] + size)
+                else:
+                    bands.append((1, size))
+                below = row_off + height
+        order = None
+        if len(bands) > 1 or bands and bands[0][0] > 1:
+            order = partial(_row_major, self.rows, tuple(bands))
+        return SignedArray._trusted(self.rows, self.cols, _Cells(row, col, entry, order))
 
     def inflate_horizontal(self, k: int) -> Layout:
         return self._inflate(k, False, "horizontal")
@@ -180,6 +205,55 @@ def _runs(parts: tuple) -> list:
 
 
 _BATCH = 1 << 12  # about how many values ``_append`` writes at once
+
+
+def _row_major(m: int, bands: tuple, row: array, col: array, entry: array) -> list[array]:
+    """The columns of an m-row array in part order, as ``materialize``
+    records its ``bands``, moved row-major: the stable sort by row, since
+    the rows of each copy never fall and the parts run in column order.
+
+    Each copy of a band must hold d cells in each of rows 1..m, which its
+    rows show at two strides, its first and its last cell of each row, as
+    they cannot fall between.  Row i then takes, band after band and copy
+    after copy, its d cells of each copy: one strided slice a cell of a
+    copy (k <= m), or one a cell of a row across the k copies (k > m).  A
+    store whose bands do not hold, made by a transform of an array with
+    uneven rows, is sorted by ``_by_row``."""
+    ref = array("q", range(1, m + 1))
+    at = 0
+    for k, size in bands:
+        d = size // m
+        if size != m * d or row[at : at + size : d] != ref or row[at + d - 1 : at + size : d] != ref:
+            return _by_row(row, col, entry)
+        at += k * size
+    n = len(row)
+    per_row = n // m
+    out = []
+    for src in (row, col, entry):
+        dst = array("q", [0]) * n
+        at = lane = 0
+        for k, size in bands:
+            d = size // m
+            if k <= m:
+                for b in range(k):
+                    copy = at + b * size
+                    for t in range(d):
+                        dst[lane + b * d + t :: per_row] = src[copy + t : copy + size : d]
+            else:
+                for i in range(m):
+                    for t in range(d):
+                        start = i * per_row + lane + t
+                        dst[start : start + k * d : d] = src[at + i * d + t : at + k * size : size]
+            at += k * size
+            lane += k * d
+        out.append(dst)
+    return out
+
+
+def _by_row(row: array, col: array, entry: array) -> list[array]:
+    """The columns stably sorted by row, through an argsort."""
+    order = sorted(range(len(row)), key=row.__getitem__)
+    return [array("q", [c[x] for x in order]) for c in (row, col, entry)]
 
 
 def _degree(a: Layout, line: str) -> int:

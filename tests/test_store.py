@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr import (
+    SEED_IDS,
     ParseError,
     Params,
     SignedArray,
     construct,
+    feasibility,
     from_csv,
     from_json,
     inflate_horizontal,
@@ -25,7 +27,9 @@ from smr import (
     to_json,
     verify_smr,
 )
+from smr import transforms
 from smr.cli import main
+from smr.transforms import Layout
 
 BIG = 1 << 63  # one past the largest value an array("q") holds
 
@@ -238,3 +242,121 @@ def test_a_key_that_is_not_a_pair_is_not_in_the_cells(key):
         a.cells[key]
     assert key not in a.cells
     assert a.cells.get(key) is None
+
+
+# the first ordered read of an array that materialize wrote in part order,
+# against a plain stable argsort by row of the columns as they were written
+def _argsorted(a: SignedArray) -> list:
+    row, col, entry, _ = a.cells._columns
+    order = sorted(range(len(row)), key=row.__getitem__)
+    return [((row[x], col[x]), entry[x]) for x in order]
+
+
+def _paired(rows: int, pairs: list) -> SignedArray:
+    """A shiftable array: its column pair t holds +, - in row i and -, +
+    in row h, for (i, h) the t-th pair, so its rows may differ in length."""
+    cells = {}
+    for t, (i, h) in enumerate(pairs):
+        for row, j, sign in ((i, 2 * t + 1, 1), (i, 2 * t + 2, -1), (h, 2 * t + 1, -1), (h, 2 * t + 2, 1)):
+            cells[row, j] = sign * (len(cells) + 1)
+    return SignedArray(rows, 2 * len(pairs), cells)
+
+
+@st.composite
+def _uneven(draw) -> SignedArray:
+    rows = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(1, rows), st.integers(1, rows)), min_size=1, max_size=4))
+    return _paired(rows, [(i, h) for i, h in pairs if i != h])
+
+
+_LEAVES = st.one_of(st.sampled_from(SEED_IDS).map(lambda seed_id: seed(seed_id)[0]), _uneven())
+
+
+# a diagonal inflation, a copy and a horizontal join twice as often: together
+# they make stacked bands beside copies
+_STEPS = ["leaf", "inflate_horizontal", "swap", "join_diagonal", "materialize"]
+_STEPS += 2 * ["inflate_diagonal", "join_horizontal", "copy"]
+
+
+@st.composite
+def _programs(draw) -> list[tuple[SignedArray, list]]:
+    """Layouts built by a short program on a stack: leaves pushed, copied
+    and swapped, inflated both ways with k = 0, 1, below and above the row
+    count, joined both ways (a diagonal layout joined horizontally is a
+    stacked band), and materialized between steps.  A step whose
+    preconditions fail is skipped.  Every array materialize writes, with
+    its items as the argsort reads them, taken before a later step reads
+    it as a leaf."""
+    stack: list[Layout] = []
+    written: list[tuple[SignedArray, list]] = []
+
+    def write(layout: Layout) -> Layout:
+        a = layout.materialize()
+        written.append((a, _argsorted(a)))
+        return Layout.of(a)
+
+    for op in draw(st.lists(st.sampled_from(_STEPS), min_size=4, max_size=12)):
+        if op == "leaf" or not stack:
+            stack.append(Layout.of(draw(_LEAVES)))
+        elif op.startswith("inflate"):
+            top = stack[-1]
+            most = top.rows + 2 if op == "inflate_horizontal" else 3
+            k = draw(st.integers(0, most))
+            if top.size * k <= 3000 and top.rows * k <= 60:
+                try:
+                    stack[-1] = getattr(top, op)(k)
+                except ValueError:
+                    pass
+        elif op.startswith("join") and len(stack) > 1:
+            try:
+                stack[-2:] = [getattr(stack[-2], op)(stack[-1])]
+            except ValueError:
+                pass
+        elif op == "copy":  # the layout itself, or its array as one part: the same rows
+            stack.append(write(stack[-1]) if draw(st.booleans()) else stack[-1])
+        elif op == "swap" and len(stack) > 1:
+            stack[-2:] = stack[-1], stack[-2]
+        elif op == "materialize":
+            stack[-1] = write(stack[-1])
+    for layout in stack:
+        write(layout)
+    return written
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+def test_the_first_ordered_read_is_the_stable_sort_by_row(written):
+    for a, expected in written:
+        assert list(a.cells.items()) == expected
+
+
+def test_every_construction_reaches_row_order_without_the_argsort(monkeypatch):
+    def refuse(*columns):
+        raise AssertionError("the argsort fallback ran")
+
+    monkeypatch.setattr(transforms, "_by_row", refuse)
+    # every point with m, r <= 60, and one a route rule at m > 170: rules
+    # 3, 4, 5, 7, 6 and 8 at m = 402, rules 9 and 10 at m = 401
+    points = [(m, r) for m in range(1, 61) for r in range(1, 61)]
+    points += [(402, r) for r in (3, 5, 8, 9, 14, 7)] + [(401, 8), (401, 14)]
+    built = 0
+    for m, r in points:
+        if m * r % 2 or not feasibility(m, m * r // 2, r).feasible:
+            continue
+        a, _ = construct(m, m * r // 2, r)
+        assert list(a.cells.items()) == _argsorted(a), (m, r)
+        built += 1
+    assert built == 2553 + 8
+
+
+# rows of 2, 4 and 2 cells: 8 cells are no whole count a row; rows of 2,
+# 6 and 4 cells: the first cell of each 4 reads rows 1, 2, 2; rows of 4, 2
+# and 6 cells: the first reads rows 1, 2, 3, but the last 1, 3, 3
+@pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)], [(2, 3), (1, 2), (2, 3)], [(1, 3), (1, 3), (2, 3)]])
+def test_a_store_whose_bands_do_not_hold_takes_the_argsort(monkeypatch, pairs):
+    calls = []
+    by_row = transforms._by_row
+    monkeypatch.setattr(transforms, "_by_row", lambda *columns: calls.append(1) or by_row(*columns))
+    wide = inflate_horizontal(_paired(3, pairs), 2)
+    expected = _argsorted(wide)
+    assert list(wide.cells.items()) == expected and calls == [1]
