@@ -29,7 +29,7 @@ import functools
 import os
 import sys
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import formats
 from .core import Params, verify_smr

@@ -29,8 +29,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from collections.abc import ItemsView, Mapping
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping
 
 
 class DimensionError(ValueError):
@@ -45,9 +44,9 @@ def _check_ints(**values: object) -> None:
 
 
 class _Checked:
-    """Base of a ``namedtuple`` subclass that checks its fields in ``__new__``,
-    which a ``typing.NamedTuple`` body may not define.  Every other way to a
-    copy calls the class: ``_make``, so ``_replace``, and ``copy`` and ``pickle``."""
+    """Base of a ``namedtuple`` subclass that checks its fields in ``__new__``.
+    Every other way to a copy calls the class: ``_make``, so ``_replace``, and
+    ``copy`` and ``pickle``."""
 
     __slots__ = ()
 
@@ -79,7 +78,7 @@ class Params(_Checked, namedtuple("Params", "m n r s")):
         return super().__new__(cls, m, n, r, s)
 
 
-class SupportSet(NamedTuple):
+class SupportSet(namedtuple("SupportSet", "half includes_zero")):
     """The exact multiset of entries a valid array must use.
 
     ``half`` is mr/2 in the even case and (mr-1)/2 in the odd case; the odd
@@ -87,8 +86,7 @@ class SupportSet(NamedTuple):
     exact ``int`` in the set, not one of the two fields.
     """
 
-    half: int
-    includes_zero: bool
+    __slots__ = ()
 
     def __contains__(self, v: object) -> bool:
         if type(v) is not int:
@@ -328,20 +326,18 @@ def is_shiftable(a: SignedArray) -> bool:
     return all(b == 0 for b in row_bal) and all(b == 0 for b in col_bal)
 
 
-class Violation(NamedTuple):
-    """One failed axiom; ``index`` is the offending row or column, when any."""
+class Violation(namedtuple("Violation", "axiom index detail")):
+    """One failed axiom; ``index`` is the offending row or column, or None."""
 
-    axiom: str
-    index: int | None
-    detail: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = "" if self.index is None else f" at {self.axiom.split('_')[0]} {self.index}"
         return f"{self.axiom}{where}: {self.detail}"
 
 
-class VerificationReport(NamedTuple):
-    violations: tuple[Violation, ...]
+class VerificationReport(namedtuple("VerificationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

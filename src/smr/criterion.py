@@ -9,14 +9,13 @@ rules out and ``oracle`` checks its search against it, so it imports only
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import _check_ints
 
 
-class Verdict(NamedTuple):
-    feasible: bool
-    reason: str
+class Verdict(namedtuple("Verdict", "feasible reason")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{'feasible' if self.feasible else 'infeasible'}: {self.reason}"

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, namedtuple
-from typing import Literal
 
 from .core import SignedArray, SupportSet, _Cells, _Checked, _is_support
 
@@ -40,9 +39,7 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
 
     __slots__ = ()
 
-    def __new__(
-        cls, array: SignedArray, kind: Literal["three", "five", "five_repaired"]
-    ) -> CompactBlock:
+    def __new__(cls, array: SignedArray, kind: str) -> CompactBlock:
         if not isinstance(array, SignedArray):
             raise TypeError(f"block array must be a SignedArray, got {type(array).__name__}")
         m, width = array.rows, array.cols

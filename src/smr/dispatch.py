@@ -18,8 +18,9 @@ immutable.  ``replay`` keeps nothing of the traces it is given.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache, lru_cache
-from typing import Callable, NamedTuple
 
 from .core import SignedArray
 from .criterion import Verdict, feasibility
@@ -36,24 +37,23 @@ class InfeasibleError(ValueError):
         self.verdict = verdict
 
 
-class TraceStep(NamedTuple):
-    op: str
-    args: tuple[tuple[str, object], ...] = ()
+class TraceStep(namedtuple("TraceStep", "op args", defaults=((),))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         rendered = " ".join(f"{k}={v}" for k, v in self.args)
         return f"{self.op} {rendered}".rstrip()
 
 
-class RouteTrace(NamedTuple):
+class RouteTrace(namedtuple("RouteTrace", "steps")):
     """Ordered operator sequence; replaying it reproduces the array exactly.
 
     Steps form a postfix program over a stack: seed and block steps push,
     inflations and spread rewrite the top, joins pop the fixed operand then
-    the shiftable operand.
+    the shiftable operand.  ``steps`` is the tuple of ``TraceStep``s.
     """
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "\n".join(str(s) for s in self.steps)
@@ -109,8 +109,13 @@ def replay(trace: RouteTrace) -> SignedArray:
     """
     if not isinstance(trace, RouteTrace) or type(trace.steps) is not tuple:
         raise ValueError(f"not a RouteTrace of a tuple of steps: {trace!r:.80}")
+    return _run(trace.steps).materialize()
+
+
+def _run(steps: tuple[TraceStep, ...]) -> Layout:
+    """The layout that ``steps`` leave: replay's loop, with the errors it lists."""
     stack: list[Layout | CompactBlock] = []
-    for number, st in enumerate(trace.steps, start=1):
+    for number, st in enumerate(steps, start=1):
         try:
             _apply(st, stack)
         except KeyError as exc:  # unknown seed id
@@ -121,7 +126,7 @@ def replay(trace: RouteTrace) -> SignedArray:
         raise ValueError(f"trace left {len(stack)} operands on the stack")
     if not isinstance(stack[0], Layout):
         raise ValueError(f"trace ends with a {type(stack[0]).__name__}, not an array")
-    return stack[0].materialize()
+    return stack[0]
 
 
 def _well_formed(st: object) -> bool:
@@ -174,14 +179,11 @@ _PIECES = 256
 @lru_cache(maxsize=_PIECES)
 def _piece(steps: tuple[TraceStep, ...]) -> Layout:
     """The one-part layout of a sub-trace of construct's, kept: its steps run
-    through ``_apply`` as replay runs them, its array materialized once, and
+    through ``_run`` as replay runs them, its array materialized once, and
     its own shiftability flag, so nothing is rescanned.  The steps are the
     key: they fix the piece exactly.  Two threads may build one piece at
     once; they build equal arrays, and the cache keeps one."""
-    stack: list[Layout | CompactBlock] = []
-    for st in steps:
-        _apply(st, stack)
-    (top,) = stack
+    top = _run(steps)
     return Layout(top.rows, top.cols, top.size, top.shiftable, ((top.materialize(), 0, 0, 0),))
 
 
@@ -226,7 +228,8 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     m, r <= 40 the 116 kept pieces hold 419 KiB under tracemalloc.  A kept
     array is shared between calls, and may itself be the array returned
     (rules 3 and 4, or one copy and no tail); that is safe because arrays
-    are immutable.  A taller point runs ``replay(trace)`` and keeps nothing.
+    are immutable.  A taller point runs the same lines, each piece built by
+    ``_run`` for it alone, and keeps nothing.
     """
     verdict = feasibility(m, n, r)
     if not verdict.feasible:
@@ -239,16 +242,14 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
         base = _width4(m)
         inflate = (_step("inflate_horizontal", k=(r - _TAIL_DEGREE[r % 4]) // 4),)
     join = (_step("join_horizontal"),) if tail else ()
-    trace = RouteTrace(base + inflate + tail + join)
-    if m > _PIECE_ROWS:  # a piece this tall is built for its point alone
-        return replay(trace), trace
-    stack: list[Layout | CompactBlock] = [_piece(base)]
+    piece = _piece if m <= _PIECE_ROWS else _run  # a taller piece is built for its point alone
+    stack: list[Layout | CompactBlock] = [piece(base)]
     for st in inflate:
         _apply(st, stack)
     if tail:
-        stack.append(_piece(tail))
+        stack.append(piece(tail))
         _apply(join[0], stack)
-    return stack[0].materialize(), trace
+    return stack[0].materialize(), RouteTrace(base + inflate + tail + join)
 
 
 # Row degree c of the tail that completes degree r, indexed by r mod 4.

@@ -12,11 +12,10 @@ one piece's parsed lists.
 from __future__ import annotations
 
 import functools
-import gc
-import re  # json is imported where JSON is read
+import gc  # json is imported where JSON is read, and re in read
 from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
 
 from .core import Params, SignedArray
 
@@ -135,7 +134,8 @@ def to_csv(a: SignedArray, p: Params) -> str:
     """Canonical CSV: a parameter comment, a header, one sorted line per cell."""
     lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
     lines += [f"{i},{j},{e}" for i, j, e in a.cells._triples()]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line break, so the text is joined once
+    return "\n".join(lines)
 
 
 @_paused
@@ -324,8 +324,10 @@ def from_grid(text: str) -> tuple[SignedArray, Params]:
 def read(text: str) -> tuple[SignedArray, Params]:
     """Parse JSON, CSV or a grid, told apart by the first non-blank token:
     "{" is JSON, "#" or a ``row,col,value`` header (any case) is CSV, and
-    anything else is a grid.  The pattern is compiled on the first call, so
-    that importing the module, as every seed lookup does, skips it."""
+    anything else is a grid.  ``re`` is imported on the first call, so that
+    importing the module, as every seed lookup does, skips it."""
+    import re
+
     match = re.match(r"\s*(?:(\{)|#|row,col,value(?!\S))", text, re.IGNORECASE)
     if match is None:
         return from_grid(text)

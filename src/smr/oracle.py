@@ -83,10 +83,11 @@ search: it shares no code with the constructions and loads none of them.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .core import Params, SignedArray, _check_ints, verify_smr
-from .criterion import Verdict, feasibility
+from .criterion import feasibility
 
 DEFAULT_BUDGET = 10**8
 # the numerator of the failed-state table's entry cap: the table stops growing
@@ -97,19 +98,26 @@ _TABLE_CAP_NUMERATOR = 64 << 20
 _MEMO_BYTES = 16 << 20
 
 
-class SearchStats(NamedTuple):
-    table_hits: int = 0  # candidates skipped because their state had failed
-    table_entries: int = 0  # failed states recorded
-    frames_pushed: int = 0  # values whose candidates were opened, revisits too
-    max_depth: int = 0  # most values on the stack at once; n for a witness
-    pruned: int = 0  # candidates rejected by the viability check
+class SearchStats(
+    namedtuple(
+        "SearchStats", "table_hits table_entries frames_pushed max_depth pruned", defaults=(0,) * 5
+    )
+):
+    """A search's counts, in field order, each 0 by default: candidates skipped
+    because their state had failed; failed states recorded; values whose
+    candidates were opened, revisits too; the most values on the stack at
+    once, n for a witness; candidates rejected by the viability check."""
+
+    __slots__ = ()
 
 
-class SearchOutcome(NamedTuple):
-    status: str  # "exists" | "not_exists" | "cutoff"
-    witness: SignedArray | None
-    nodes: int
-    stats: SearchStats = SearchStats()  # left out of ==, != and hash
+class SearchOutcome(
+    namedtuple("SearchOutcome", "status witness nodes stats", defaults=(SearchStats(),))
+):
+    """``status`` is "exists", "not_exists" or "cutoff", ``witness`` an array or
+    None; ``stats``, ``SearchStats()`` by default, is left out of ==, != and hash."""
+
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         return self[:3] == other[:3] if type(other) is SearchOutcome else NotImplemented
@@ -322,17 +330,12 @@ def _row_test(d: int, R: int, s: int, k: int) -> int:
     return flags
 
 
-class Disagreement(NamedTuple):
-    m: int
-    r: int
-    search_status: str
-    verdict: Verdict
+class Disagreement(namedtuple("Disagreement", "m r search_status verdict")):
+    __slots__ = ()
 
 
-class CrossCheckReport(NamedTuple):
-    checked: int
-    disagreements: tuple[Disagreement, ...]
-    cutoffs: tuple[tuple[int, int], ...]
+class CrossCheckReport(namedtuple("CrossCheckReport", "checked disagreements cutoffs")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -14,10 +14,11 @@ SUBMODULES = ["core", "criterion", "direct", "dispatch", "formats", "oracle", "s
 LOADED = "sorted(m for m in sys.modules if m.startswith('smr.'))"
 
 
-def _python(code: str, stdin: bytes = b"") -> str:
-    """Run code in a new interpreter that can import smr; return its stdout."""
+def _python(code: str, stdin: bytes = b"", flags: tuple[str, ...] = ()) -> str:
+    """Run code in a new interpreter that can import smr, with ``flags`` before
+    ``-W error``; return its stdout."""
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code], input=stdin, capture_output=True,
+        [sys.executable, *flags, "-W", "error", "-c", code], input=stdin, capture_output=True,
         check=False, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert (done.returncode, done.stderr) == (0, b"")
@@ -56,6 +57,16 @@ def _cli_loads(argv: list[str]) -> str:
         f"    code = smr.cli.main({argv!r})\n"
         f"print(code, {LOADED}, 'json' in sys.modules)\n"
     )
+
+
+def test_setup_loads_no_typing_and_no_re():
+    # -S: no site hook, such as a .pth file, imports either before smr does
+    loaded = "print([m for m in ('typing', 're') if m in sys.modules])"
+    assert _python(f"import smr, sys; smr.seed('S_2x4'); {loaded}", flags=("-S",)) == "[]\n"
+    assert _python(f"import smr.oracle, sys; {loaded}", flags=("-S",)) == "[]\n"
+    # argparse imports re itself
+    out = _python("import smr.cli, sys; print('typing' in sys.modules)", flags=("-S",))
+    assert out == "False\n"
 
 
 def test_oracle_loads_core_and_criterion_only():
