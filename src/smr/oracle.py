@@ -34,26 +34,34 @@ counts.  When a value runs out of candidates, that multiset is recorded as
 failed, and a later candidate leading to a recorded multiset is skipped:
 its subtree holds no witness, so statuses and witnesses are those of the
 plain search and node counts can only fall.  A key is the tuple of the
-sorted row codes ``count * (2nr + 1) + sum``, so it is exact at any size.
-No frame holds a key: when a value runs out, the codes are back at the
-state its frame started from, and the key is computed from them as they
-stand, so the frames take memory by the depth, not by depth times m.  The
+sorted codes ``count * (2nr + 1) + sum`` of the rows in use, with one 0
+for the unused rows: a row in use has a code > 0, so the key names the
+multiset, exactly at any size.  No frame holds a key: when a value runs
+out, the codes are back at the state its frame started from, and the key
+is computed from them as they stand, so the frames take memory by the
+depth, not by depth times the rows.  The
 table is local to each call and stops growing at ``_TABLE_CAP_NUMERATOR``
 // (8m + 75) entries, 737k at m = 2, 433k at m = 10 and 331k at m = 16.
 The numerator is no byte budget: full, the table measured 86 to 117 MiB
 there under tracemalloc (166 to 311 bytes an entry).  A full table only
 skips less.
 
-The search state is that list of row codes and nothing else: a row's count
-and sum are decoded from its code.  The candidate enumerator of a value
-only reads the codes; the main loop places +k in row p and -k in row q,
-lifts both again on a table hit, and otherwise opens a frame that carries
-(p, q), so that popping it lifts them and the witness is read off the
-frames.  Those two rows are all a candidate changes, so each row is
-tested three ways, as it stands, with +k and with -k; a candidate is
+The search state is the list of codes of the rows in use, then a 0 for
+the lowest unused row (a spare 0 once all m rows are in use), and nothing
+else: a row's count and sum are decoded from its code.  The candidate
+enumerator of a value only reads the codes; the main loop places +k in
+row p and -k in row q, lifts both again on a table hit, and otherwise
+opens a frame that carries (p, q), so that popping it lifts them and the
+witness is read off the frames.  The list grows only when p or q opens a
+row, and is cut back to the rows in use and the lowest unused one on a
+table hit and on a pop, so the state, like the frames, takes memory by
+the rows opened and not by m: ``decide(10**12, 2)`` is refuted at the
+root in a few kB.  Those two rows are all a candidate changes, so each row
+is tested three ways, as it stands, with +k and with -k; a candidate is
 viable iff the rows failing as they stand lie in {p, q}, p passes with +k
 and q with -k.  The lowest unused row is tested the same way, as the row
-of code 0.
+of code 0, and stands for every unused row: when it fails, the next two
+are listed as failing too, as three failing rows rule out every candidate.
 
 The three answers for a row depend only on k and its code: the code fixes
 the row's count and sum, k fixes the magnitudes 1..k-1 left, and r is fixed
@@ -144,11 +152,13 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         return SearchOutcome("not_exists", None, 0)
     n = (m * r) // 2
 
-    # the whole search state: codes[i] = count * width + sum for row i, and
-    # |sum| <= nr < width / 2, so (code + nr) // width is the count
+    # the whole search state: codes[i] = count * width + sum for row i of the
+    # rows in use, then 0 for the lowest unused row (or a spare once all m
+    # are in use); |sum| <= nr < width / 2, so (code + nr) // width is the
+    # count and a row in use has a code > 0
     nr = n * r
     width = 2 * nr + 1
-    codes = [0] * m
+    codes = [0]
     failed: set[tuple[int, ...]] = set()  # exhausted states: tuple(sorted(codes))
     cap = _TABLE_CAP_NUMERATOR // (8 * m + 75)
     nodes = hits = pushed = depth = pruned = 0
@@ -199,8 +209,8 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             n_open += 1
         if used < m:  # the last row tested was the unused one: not open
             n_open -= 1
-            if f & 1:  # unused rows fail too
-                bad += range(used + 1, m)
+            if f & 1:  # unused rows fail too; three failing rows are enough to see
+                bad += range(used + 1, min(m, used + 3))
         nbad = len(bad)
         if nbad > 2:
             ok_p = []  # p and q cannot hold three failing rows
@@ -260,18 +270,21 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 # viability at remaining = 0 forced full rows and zero sums
                 status = "exists"
                 break
+            now_used = used
+            if q >= now_used:
+                now_used = q + 1
+            if p >= now_used:
+                now_used = p + 1
+            if now_used > used:  # p or q opens a row: the lowest unused row moves up
+                codes += [0] * (now_used - used)
             codes[p] += width + k
             codes[q] += width - k
             if tuple(sorted(codes)) in failed:
                 hits += 1
                 codes[p] -= width + k
                 codes[q] -= width - k
+                del codes[used + 1 :]
                 continue
-            now_used = used
-            if q >= now_used:
-                now_used = q + 1
-            if p >= now_used:
-                now_used = p + 1
             frames.append((candidates(k - 1, now_used), now_used, p, q))
             pushed += 1
             if len(frames) > depth:
@@ -279,13 +292,15 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             break
         else:
             # k is exhausted from the state codes hold: record it, then undo
-            # the +(k+1) and -(k+1) that opened its frame
+            # the +(k+1) and -(k+1) that opened its frame and drop the rows
+            # that opened with them
             _, _, p, q = frames.pop()
             if frames:
                 if len(failed) < cap:
                     failed.add(tuple(sorted(codes)))
                 codes[p] -= width + k + 1
                 codes[q] -= width - k - 1
+                del codes[frames[-1][1] + 1 :]
     stats = SearchStats(hits, len(failed), pushed, depth, pruned)
     if status != "exists":
         return SearchOutcome(status, None, nodes, stats)

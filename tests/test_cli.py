@@ -453,17 +453,20 @@ def test_full_disk_exits_1_with_one_line(argv, unbuffered):
     assert len(lines) == 1 and lines[0].startswith("cannot write output: "), lines
 
 
-def test_out_of_memory_exits_1_with_one_line():
-    """A search state sized by m = 10^12 cannot be allocated under a 2 GiB
-    address-space limit; main reports it in one line, not a traceback."""
+def test_out_of_memory_exits_1_with_one_line(tmp_path):
+    """verify_smr's tallies for a declared 10^9 x 10^9 shape cannot be
+    allocated under a 2 GiB address-space limit; main reports it in one
+    line, not a traceback."""
     resource = pytest.importorskip("resource")  # POSIX only
     limit = 2 << 30
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1000000000, "n": 1000000000, "r": 1, "s": 1, "cells": []}', encoding="utf-8")
 
     def cap_memory() -> None:  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     done = subprocess.run(
-        [sys.executable, "-m", "smr", "oracle", "1000000000000", "2", "--budget", "1"],
+        [sys.executable, "-m", "smr", "verify", str(path)],
         capture_output=True, preexec_fn=cap_memory, check=False,
     )
     lines = done.stderr.decode().splitlines()
@@ -473,16 +476,17 @@ def test_out_of_memory_exits_1_with_one_line():
 
 
 def test_size_past_an_index_exits_1_with_one_line(tmp_path, capsys):
-    """A shape past 2^63 cannot even size a list: the oracle's state and
-    verify_smr's tallies raise OverflowError before anything is allocated,
-    and main reports it in one line, not a traceback."""
+    """A shape past 2^63 cannot even size a list: verify_smr's tallies raise
+    OverflowError before anything is allocated, and main reports it in one
+    line, not a traceback.  The search keeps state only for the rows it
+    opens, so at such an m it refutes r = 2 at the root."""
     big = 10**22
     path = tmp_path / "big.json"
     path.write_text(f'{{"m": {big}, "n": 1, "r": 1, "s": {big}, "cells": []}}', encoding="utf-8")
-    for argv in (("oracle", big, 2, "--budget", 5), ("verify", path)):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, ""), argv
-        assert err == "too large: cannot fit 'int' into an index-sized integer\n", argv
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, out) == (1, "")
+    assert err == "too large: cannot fit 'int' into an index-sized integer\n"
+    assert run_cli(capsys, "oracle", big, 2, "--budget", 5) == (2, "not_exists (nodes: 1)\n", "")
 
 
 # negative budgets drawn as often as the others: they are the ones to reject

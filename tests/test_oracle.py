@@ -369,6 +369,22 @@ def test_memory_follows_the_depth():
     assert peak <= 8 << 20
 
 
+@pytest.mark.parametrize("r, budget, status, nodes", [(2, 10**8, "not_exists", 1), (4, 1000, "cutoff", 1001)])
+def test_memory_follows_the_rows_opened_not_m(r, budget, status, nodes):
+    # m = 10^12: the state holds the rows in use and the lowest unused row,
+    # so a refutation at the root and a 1001-node cutoff allocate little
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = decide(10**12, r, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes) == (status, nodes)
+    assert peak < 2 << 20
+
+
 # column canonicalization: an unrestricted search over column contents finds
 # exactly the canonical solutions times the n! column orders, and sorting any
 # found array's columns by magnitude yields a valid canonical array.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from smr import (
     shift,
     verify_smr,
 )
+from smr import transforms
 from smr.transforms import Layout
 
 from goldens import (
@@ -321,3 +324,29 @@ def test_join_diagonal_verifies_on_matched_operands(sid, k):
     out = join_diagonal(inflate_diagonal(a, k), a)
     assert verify_smr(out, Params((k + 1) * p.m, (k + 1) * p.n, p.r, p.s)).ok
     assert is_shiftable(out)
+
+
+# _append against one copy at a time, at every boundary of its batches: a
+# column of at most a batch or of more, and copies that fill a batch or spill
+# into the next.  _append reads _BATCH when called, so a batch of 8 walks the
+# boundaries the real one has; at the real one, cases past 32k values are
+# skipped, as their reference lists would take seconds and hundreds of MB.
+
+
+@pytest.mark.parametrize("batch", [8, transforms._BATCH])
+@pytest.mark.parametrize("away", [False, True])
+def test_append_equals_a_per_copy_reference_at_every_batch_boundary(monkeypatch, batch, away):
+    monkeypatch.setattr(transforms, "_BATCH", batch)
+    for size in (0, 1, 3, batch - 1, batch, batch + 1, 2 * batch + 3):
+        column = array("q", [(i + 1) * (-1) ** i for i in range(size)])  # no 0, both signs
+        for copies in (1, 2, batch // 3 + 1):
+            if size * copies > 1 << 15:
+                continue
+            for moves in (range(0, 5 * copies, 5), range(7, 7 + 5 * copies, 5), [0] * copies):
+                moves = tuple(moves)
+                out = array("q", [99])
+                transforms._append(out, column, moves, away)
+                expected = [99]
+                for t in moves:
+                    expected += [(v + t if v > 0 else v - t) if away else v + t for v in column]
+                assert out.tolist() == expected, (size, copies, moves)
