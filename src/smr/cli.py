@@ -66,12 +66,18 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", action="store_const", const=name, dest="format", help=text)
 
 
-def _render(a, p: Params, fmt: str) -> str:
+def _write(a, p: Params, fmt: str) -> None:
+    """Write the array to stdout: JSON and CSV piece by piece as the writer
+    yields them, the grid as one string.  Only ``write`` is called, which
+    every stand-in stdout has."""
     if fmt == "json":
-        return formats.to_json(a, p)
-    if fmt == "csv":
-        return formats.to_csv(a, p)
-    return formats.to_grid(a)
+        pieces = formats._json_pieces(a, p)
+    elif fmt == "csv":
+        pieces = formats._csv_pieces(a, p)
+    else:
+        pieces = (formats.to_grid(a),)
+    for piece in pieces:
+        sys.stdout.write(piece)
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -169,7 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     _check_grid(args.m, args.n, args.format)
     array, trace = construct(args.m, args.n, args.r)
     params = Params(args.m, args.n, args.r, 2)
-    sys.stdout.write(_render(array, params, args.format))
+    _write(array, params, args.format)
     if args.trace:
         sys.stdout.flush()  # so that 2>&1 still puts the trace after the array
         sys.stderr.write("".join(f"# trace: {step}\n" for step in trace.steps))
@@ -209,7 +215,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(_render(array, params, args.format))
+    _write(array, params, args.format)
     return EXIT_OK
 
 
@@ -234,7 +240,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"{outcome.status} (nodes: {outcome.nodes})")
     if witness is not None:
         params = Params(witness.rows, witness.cols, args.r, 2)
-        sys.stdout.write(_render(witness, params, args.format))
+        _write(witness, params, args.format)
     if outcome.status == "cutoff":
         return EXIT_CUTOFF
     return EXIT_OK if outcome.status == "exists" else EXIT_INFEASIBLE

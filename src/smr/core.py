@@ -171,10 +171,6 @@ class _Cells(Mapping):
     def items(self) -> _Items:
         return _Items(self)
 
-    def _triples(self) -> Iterator[tuple[int, int, int]]:
-        """The (row, col, entry) of every cell, row-major."""
-        return zip(*self._sorted())
-
     def values(self) -> memoryview:
         return memoryview(self._sorted()[2]).toreadonly()
 

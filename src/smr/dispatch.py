@@ -230,10 +230,16 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     (rules 3 and 4, or one copy and no tail); that is safe because arrays
     are immutable.  A taller point runs the same lines, each piece built by
     ``_run`` for it alone, and keeps nothing.
+
+    A feasible point with n >= 2^63 raises ``OverflowError`` before anything
+    is built: its column index n and entry -n do not fit the store's
+    64-bit slots, and no index or entry of the array exceeds n.
     """
     verdict = feasibility(m, n, r)
     if not verdict.feasible:
         raise InfeasibleError(m, n, r, verdict)
+    if n >= 1 << 63:
+        raise OverflowError(f"n = {n} is past 2^63 - 1, the largest index or entry a cell holds")
 
     tail = _tail(m, r % 4)
     if m > 2 and r in (3, 5):  # rules 3 and 4; m is even, since r is odd

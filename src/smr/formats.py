@@ -4,9 +4,10 @@ JSON and CSV forms carry the parameter quadruple and round-trip bit-exactly
 through the parsers here.  The grid form is the human-facing rendering
 (right-aligned entries, "." for empty cells), whose parser infers the
 parameters.  Every parser returns ``(array, params)``; ``read`` picks one.
-The writers read the array's packed columns in their row-major order, and
-canonical JSON and CSV are read in pieces, so a parse holds the array and
-one piece's parsed lists.
+The JSON and CSV writers read the array's packed columns in their row-major
+order and write the text in pieces of 4,096 cells, each formatted by one
+``%``; ``smr gen`` writes the pieces as they come.  Canonical JSON and CSV
+are read in pieces, so a parse holds the array and one piece's parsed lists.
 """
 
 from __future__ import annotations
@@ -42,11 +43,35 @@ def _paused(parse: Callable) -> Callable:
     return paused
 
 
+_CELLS = 4096  # the cells that one % of a writer formats
+
+
+def _text(a: SignedArray, head: str, cell: str, sep: str, tail: str) -> Iterator[str]:
+    """``head``, the cells of ``a`` row-major, each as the ``%d`` pattern
+    ``cell`` with ``sep`` between two, and ``tail``, in pieces.  A piece
+    interleaves up to ``_CELLS`` cells of the three columns into one list
+    by strided slices and formats them with one ``%``."""
+    rows, cols, entries = a.cells._sorted()
+    yield head
+    for lo in range(0, len(rows), _CELLS):
+        hi = min(lo + _CELLS, len(rows))
+        flat = [0] * (3 * (hi - lo))
+        flat[0::3], flat[1::3], flat[2::3] = rows[lo:hi], cols[lo:hi], entries[lo:hi]
+        yield (sep if lo else "") + sep.join([cell] * (hi - lo)) % tuple(flat)
+    yield tail
+
+
+def _json_pieces(a: SignedArray, p: Params) -> Iterator[str]:
+    """The pieces of ``to_json``'s text, in order."""
+    head = f'{{"m": {p.m}, "n": {p.n}, "r": {p.r}, "s": {p.s}, "cells": ['
+    return _text(a, head, "[%d, %d, %d]", ", ", "]}\n")
+
+
 def to_json(a: SignedArray, p: Params) -> str:
     """Canonical JSON: fixed key order, cells sorted by (row, col).  The bytes
-    of ``json.dumps`` with ``separators=(", ", ": ")``, written directly."""
-    cells = ", ".join([f"[{i}, {j}, {e}]" for i, j, e in a.cells._triples()])
-    return f'{{"m": {p.m}, "n": {p.n}, "r": {p.r}, "s": {p.s}, "cells": [{cells}]}}\n'
+    of ``json.dumps`` with ``separators=(", ", ": ")``, joined from
+    ``_json_pieces``, 4,096 cells a piece."""
+    return "".join(_json_pieces(a, p))
 
 
 @_paused
@@ -130,12 +155,15 @@ def _pieces(text: str, at: int, stop: int, mark: str, skip: int, wrap, errors=()
         at = cut + skip
 
 
+def _csv_pieces(a: SignedArray, p: Params) -> Iterator[str]:
+    """The pieces of ``to_csv``'s text, in order."""
+    return _text(a, f"# m={p.m} n={p.n} r={p.r} s={p.s}\nrow,col,value\n", "%d,%d,%d\n", "", "")
+
+
 def to_csv(a: SignedArray, p: Params) -> str:
-    """Canonical CSV: a parameter comment, a header, one sorted line per cell."""
-    lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
-    lines += [f"{i},{j},{e}" for i, j, e in a.cells._triples()]
-    lines.append("")  # the final line break, so the text is joined once
-    return "\n".join(lines)
+    """Canonical CSV: a parameter comment, a header, one sorted line per cell,
+    joined from ``_csv_pieces``, 4,096 lines a piece."""
+    return "".join(_csv_pieces(a, p))
 
 
 @_paused

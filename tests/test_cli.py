@@ -418,6 +418,70 @@ def test_gen_trace_follows_the_array_in_a_merged_stream():
     assert done.stdout == to_json(a, Params(7, 14, 4, 2)).encode() + _TRACE_7_14_4
 
 
+def test_gen_trace_follows_a_streamed_array_in_a_merged_stream():
+    """10,000 cells are written in three pieces; on 2>&1 the trace still
+    follows the whole array."""
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "gen", "100", "5000", "100", "--csv", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, check=False,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},  # each piece is written as it comes
+    )
+    a, trace = construct(100, 5000, 100)
+    steps = "".join(f"# trace: {step}\n" for step in trace.steps)
+    assert done.returncode == 0
+    assert done.stdout == (to_csv(a, Params(100, 5000, 100, 2)) + steps).encode()
+
+
+class _WriteOnly:
+    """A stdout with write and flush and nothing else, such as no writelines."""
+
+    def __init__(self):
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt,write", [("--json", to_json), ("--csv", to_csv)])
+def test_write_only_stdout_gets_the_whole_text_in_pieces(fmt, write):
+    out, err = _WriteOnly(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen", "100", "5000", "100", fmt])
+    assert (code, err.getvalue()) == (0, "")
+    assert len(out.pieces) == 5  # the head, three pieces of cells, the tail
+    assert "".join(out.pieces) == write(construct(100, 5000, 100)[0], Params(100, 5000, 100, 2))
+
+
+class _FailsSecond:
+    """A stdout with write alone, which fails on its second call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        if self.calls == 2:
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", 3, 6, 4, "--json"), ("gen", 100, 5000, 100, "--csv"), ("seed", "S_2x4", "--json")],
+)
+def test_write_failing_part_way_exits_1_with_one_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailsSecond()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code == 1
+    pipe = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert err.getvalue() == f"cannot write output: {pipe}\n"
+
+
 class _FullDisk(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -478,8 +542,11 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path):
 def test_size_past_an_index_exits_1_with_one_line(tmp_path, capsys):
     """A shape past 2^63 cannot even size a list: verify_smr's tallies raise
     OverflowError before anything is allocated, and main reports it in one
-    line, not a traceback.  The search keeps state only for the rows it
-    opens, so at such an m it refutes r = 2 at the root."""
+    line, not a traceback.  construct refuses an n past 2^63 the same way
+    before it builds anything; that case runs in a child under a 2 GiB
+    address-space limit, so that a construct which tried would fail there.
+    The search keeps state only for the rows it opens, so at such an m it
+    refutes r = 2 at the root."""
     big = 10**22
     path = tmp_path / "big.json"
     path.write_text(f'{{"m": {big}, "n": 1, "r": 1, "s": {big}, "cells": []}}', encoding="utf-8")
@@ -487,6 +554,21 @@ def test_size_past_an_index_exits_1_with_one_line(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "too large: cannot fit 'int' into an index-sized integer\n"
     assert run_cli(capsys, "oracle", big, 2, "--budget", 5) == (2, "not_exists (nodes: 1)\n", "")
+    resource = pytest.importorskip("resource")  # POSIX only
+    limit = 2 << 30
+
+    def cap_memory() -> None:  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for n in (big, 1 << 63):
+        done = subprocess.run(
+            [sys.executable, "-m", "smr", "gen", "2", str(n), str(n), "--json"],
+            capture_output=True, preexec_fn=cap_memory, check=False,
+        )
+        assert (done.returncode, done.stdout) == (1, b""), done.stderr
+        assert done.stderr == (
+            f"too large: n = {n} is past 2^63 - 1, the largest index or entry a cell holds\n"
+        ).encode()
 
 
 # negative budgets drawn as often as the others: they are the ones to reject

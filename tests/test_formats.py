@@ -411,6 +411,38 @@ def test_writers_match_reference(a, p):
     assert to_grid(a) == reference_grid(a)
 
 
+def _per_cell_json(a: SignedArray, p: Params) -> str:
+    # the writer that formatted each cell with its own f-string
+    cells = ", ".join([f"[{i}, {j}, {e}]" for (i, j), e in a.cells.items()])
+    return f'{{"m": {p.m}, "n": {p.n}, "r": {p.r}, "s": {p.s}, "cells": [{cells}]}}\n'
+
+
+def _per_cell_csv(a: SignedArray, p: Params) -> str:
+    lines = [f"# m={p.m} n={p.n} r={p.r} s={p.s}", "row,col,value"]
+    lines += [f"{i},{j},{e}" for (i, j), e in a.cells.items()]
+    lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4095, 4096, 4097, 8195])
+def test_pieces_join_to_the_per_cell_text_at_every_boundary(k):
+    # a 1 x k row: each one-% piece holds 4,096 cells, so k runs up to, onto
+    # and past the first and second cuts; entries are signed, of many digits,
+    # and the largest magnitudes a cell holds sit at the ends and at the cuts
+    big = (1 << 63) - 1
+    entries = [(-1) ** j * (j * 7919 % 100003 + 1) for j in range(1, k + 1)]
+    for at, e in ((0, big), (4095, -big), (4096, big), (k - 1, -big)):
+        if 0 <= at < k:
+            entries[at] = e
+    a = SignedArray.from_cells(1, k, [(1, j, e) for j, e in enumerate(entries, start=1)])
+    p = Params(1, max(k, 1), max(k, 1), 1)
+    assert to_json(a, p) == _per_cell_json(a, p) == reference_json(a, p)
+    assert to_csv(a, p) == _per_cell_csv(a, p) == reference_csv(a, p)
+    if not k:
+        assert to_json(a, p) == '{"m": 1, "n": 1, "r": 1, "s": 1, "cells": []}\n'
+        assert to_csv(a, p) == "# m=1 n=1 r=1 s=1\nrow,col,value\n"
+
+
 def test_grid_written_with_one_copy():
     # the final join writes the text once: the peak is the text, the list of
     # pieces and the shared run strings, and no slice holds a second copy
