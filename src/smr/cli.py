@@ -191,6 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     try:
         array, params = formats.read(text)
+        del text  # so that the text and verify_smr's tallies are never held at once
     except ValueError as exc:  # formats.ParseError among them
         print(f"parse failure in {args.path}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

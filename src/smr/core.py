@@ -26,10 +26,12 @@ threads.  Parameters, dimensions, indices and entries must be exact ``int``s:
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping
+from itertools import chain, islice, repeat
 
 
 class DimensionError(ValueError):
@@ -107,16 +109,28 @@ def support_set(p: Params) -> SupportSet:
     return SupportSet(half=(p.m * p.r - 1) // 2, includes_zero=True)
 
 
-def _is_support(values: Collection[int], support: SupportSet) -> bool:
-    """True iff ``values`` are exactly the support set, with no sort: as many
-    distinct entries as it holds, within +-half and 0 only if it has 0."""
-    distinct = set(values)
-    size = 2 * support.half + support.includes_zero
-    return (
-        len(values) == len(distinct) == size
-        and (not size or -support.half <= min(distinct) <= max(distinct) <= support.half)
-        and (support.includes_zero or 0 not in distinct)
-    )
+def _marks(entries: array, support: SupportSet) -> bytearray | dict:
+    """Zeroed marks for ``seen[e] = 1`` at each entry: a byte for each value
+    of -half..half, ``v``'s at index ``v`` (a negative one from the end).
+    When ``entries`` cannot be exactly the support, as there are not as many
+    as it holds or one lies past +-half, a dict takes the marks instead, and
+    ``_marked`` is False.  The size check runs first, so the bytes are at
+    most one more than the entries."""
+    half = support.half
+    if len(entries) != 2 * half + support.includes_zero or not (
+        -half <= min(entries) <= max(entries) <= half
+    ):
+        return {}
+    return bytearray(2 * half + 1)
+
+
+def _marked(seen: bytearray | dict, support: SupportSet) -> bool:
+    """True iff ``seen``, from ``_marks`` and then set at each entry, shows the
+    entries to be exactly the support: every byte set but 0's, and 0's iff the
+    support holds 0.  As many entries as values, each value set, leave no room
+    for a repeat."""
+    zero = support.includes_zero
+    return type(seen) is bytearray and seen.count(0) == (not zero) and seen[0] == zero
 
 
 class _Cells(Mapping):
@@ -332,7 +346,10 @@ class Violation(namedtuple("Violation", "axiom index detail")):
         return f"{self.axiom}{where}: {self.detail}"
 
 
-class VerificationReport(namedtuple("VerificationReport", "violations")):
+class VerificationReport(namedtuple("VerificationReport", "violations more", defaults=((),))):
+    """The violations found, at most ``_CAP`` of each axiom; ``more`` pairs
+    each axiom that had more with how many were left out."""
+
     __slots__ = ()
 
     @property
@@ -342,78 +359,109 @@ class VerificationReport(namedtuple("VerificationReport", "violations")):
     def __str__(self) -> str:
         if self.ok:
             return "pass"
-        lines = [f"fail ({len(self.violations)} violations)"]
+        lines = [f"fail ({len(self.violations) + sum(n for _, n in self.more)} violations)"]
         lines += [f"  - {v}" for v in self.violations]
+        lines += [f"  ... and {n} more {axiom} violations" for axiom, n in self.more]
         return "\n".join(lines)
 
 
+_CAP = 1000  # violations listed per axiom; the rest are counted
+
+
 def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
-    """Check the five axioms and report every violation.
+    """Check the five axioms and report the violations, at most ``_CAP`` an
+    axiom and a count of the rest.
 
     Axioms: r filled cells per row, s per column, entry multiset equal to
     the support set, zero row sums, zero column sums.  Pure function; raises
-    DimensionError when the array shape disagrees with ``p``.
+    DimensionError when the array shape disagrees with ``p``, and
+    OverflowError for a shape of more lines than an index holds.
 
-    One loop tallies the rows and columns.  Each axiom is decided once, from
-    the tallies with ``list.count`` or from a set of the entries, and only a
-    failing one is listed: the counts of the entries and of the support are
-    built only when the support axiom fails, so a passing array takes the
-    O(m + n) tallies plus that set.  Time and memory grow with the declared
-    ``p.m + p.n`` and ``mr``, not with the number of stored cells, and every
-    failing row and column is listed: an empty array that declares a million
-    rows yields a million violations.  No order is needed, so the columns
-    are read as they are stored.
+    One loop tallies the rows and columns and marks each entry in a byte a
+    support value (``_marks``).  Each axiom is decided once, from the tallies
+    with ``list.count`` or from the marks, and only a failing one is listed:
+    the counts of the entries are built only when the support axiom fails.
+    The tallies and the marks are each at most one slot longer than the
+    cells, and a passing array holds no object a cell.  A shape with more
+    rows or columns than cells has an empty line and cannot pass: then only
+    the lines that hold cells are tallied, in ``Counter``s, and the empty
+    ones are counted, not visited.  So time and memory grow with the cells
+    and the ``_CAP`` listed, not with the declared shape.  No order is
+    needed, so the columns are read as they are stored.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(
             f"array is {a.rows}x{a.cols} but parameters expect {p.m}x{p.n}"
         )
-
-    row_count = [0] * (p.m + 1)
-    col_count = [0] * (p.n + 1)
-    row_sum = [0] * (p.m + 1)
-    col_sum = [0] * (p.n + 1)
     rows, cols, entries, _ = a.cells._columns
-    for i, j, e in zip(rows, cols, entries):
-        row_count[i] += 1
-        col_count[j] += 1
-        row_sum[i] += e
-        col_sum[j] += e
-    violations: list[Violation] = []
-    if row_count.count(p.r) != p.m:
-        violations += [
-            Violation("row_count", i, f"{row_count[i]} filled cells, expected {p.r}")
-            for i in range(1, p.m + 1) if row_count[i] != p.r
-        ]
-    if col_count.count(p.s) != p.n:
-        violations += [
-            Violation("col_count", j, f"{col_count[j]} filled cells, expected {p.s}")
-            for j in range(1, p.n + 1) if col_count[j] != p.s
-        ]
     support = support_set(p)
-    if not _is_support(entries, support):
-        expected = Counter(support.sorted_values())
-        actual = Counter(entries)
-        missing = _preview(sorted((expected - actual).elements()))
-        extra = _preview(sorted((actual - expected).elements()))
-        violations.append(Violation("support", None, f"missing {missing}, unexpected {extra}"))
-    if row_sum.count(0) != p.m + 1:  # row_sum[0] is 0: there is no row 0
-        violations += [
-            Violation("row_sum", i, f"sums to {row_sum[i]}")
-            for i in range(1, p.m + 1) if row_sum[i] != 0
-        ]
-    if col_sum.count(0) != p.n + 1:
-        violations += [
-            Violation("col_sum", j, f"sums to {col_sum[j]}")
-            for j in range(1, p.n + 1) if col_sum[j] != 0
-        ]
-    return VerificationReport(tuple(violations))
+    seen = _marks(entries, support)
+    if p.m > len(entries) or p.n > len(entries):  # a line is empty; mr > the cells, so no marks
+        if max(p.m, p.n) > sys.maxsize:  # as a list of the lines would raise
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+        row_count, col_count, row_sum, col_sum = Counter(rows), Counter(cols), Counter(), Counter()
+        for i, j, e in zip(rows, cols, entries):
+            row_sum[i] += e
+            col_sum[j] += e
+    else:
+        row_count = [0] * (p.m + 1)
+        col_count = [0] * (p.n + 1)
+        row_sum = [0] * (p.m + 1)
+        col_sum = [0] * (p.n + 1)
+        for i, j, e in zip(rows, cols, entries):
+            row_count[i] += 1
+            col_count[j] += 1
+            row_sum[i] += e
+            col_sum[j] += e
+            seen[e] = 1
+    violations, more = [], []
+    _lines(violations, more, "row_count", row_count, p.m, p.r, "{} filled cells, expected {}")
+    _lines(violations, more, "col_count", col_count, p.n, p.s, "{} filled cells, expected {}")
+    if not _marked(seen, support):
+        violations.append(Violation("support", None, _support_detail(entries, support)))
+    _lines(violations, more, "row_sum", row_sum, p.m, 0, "sums to {}")
+    _lines(violations, more, "col_sum", col_sum, p.n, 0, "sums to {}")
+    return VerificationReport(tuple(violations), tuple(more))
 
 
-def _preview(values: list[int]) -> str:
-    limit = 8  # values listed before "... (k more)"
-    if not values:
+def _lines(violations: list, more: list, axiom: str, tally: list | Counter, lines: int,
+           target: int, detail: str) -> None:
+    """List the first ``_CAP`` of lines 1..``lines`` whose tally is not
+    ``target``, each with ``detail`` formatted by the tally and the target,
+    and count the rest in ``more``.  ``tally`` is a list with a slot a line
+    after slot 0, which holds 0, or a ``Counter`` of the lines that hold
+    cells: every other line tallies 0, and is counted, and visited only by a
+    count axiom (``target`` >= 1), where each one fails."""
+    listed = type(tally) is list
+    if listed:
+        bad = lines + (target == 0) - tally.count(target)
+    else:
+        bad = lines - [*tally.values()].count(target) - (lines - len(tally)) * (target == 0)
+    if bad:
+        walk = range(1, lines + 1) if listed or target else sorted(tally)
+        failing = islice((i for i in walk if tally[i] != target), _CAP)
+        violations += [Violation(axiom, i, detail.format(tally[i], target)) for i in failing]
+        if bad > _CAP:
+            more.append((axiom, bad - _CAP))
+
+
+def _support_detail(entries: array, support: SupportSet) -> str:
+    """What the entries lack of the support and hold past it, in ascending
+    order with multiplicity, from a count of the entries: the support itself
+    is walked only up to its first missing values listed."""
+    counts = Counter(entries)
+    half, zero = support.half, support.includes_zero
+    present = sum(v in support for v in counts)
+    values = chain(range(-half, 0), (0,) * zero, range(1, half + 1))
+    missing = _preview((v for v in values if v not in counts), 2 * half + zero - present)
+    extra = chain.from_iterable(repeat(v, counts[v] - (v in support)) for v in sorted(counts))
+    return f"missing {missing}, unexpected {_preview(extra, len(entries) - present)}"
+
+
+def _preview(values: Iterable[int], total: int) -> str:
+    """The first of ``total`` values, and a count of the rest."""
+    if not total:
         return "nothing"
-    shown = ", ".join(str(v) for v in values[:limit])
-    more = "" if len(values) <= limit else f", ... ({len(values) - limit} more)"
-    return f"[{shown}{more}]"
+    shown = list(islice(values, 8))  # values listed before "... (k more)"
+    rest = "" if total <= len(shown) else f", ... ({total - len(shown)} more)"
+    return f"[{', '.join(map(str, shown))}{rest}]"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, namedtuple
 
-from .core import SignedArray, SupportSet, _Cells, _Checked, _is_support
+from .core import SignedArray, SupportSet, _Cells, _Checked, _marked, _marks
 
 
 class BlockError(ValueError):
@@ -45,14 +45,16 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
         m, width = array.rows, array.cols
         if kind not in {3: ("three",), 5: ("five", "five_repaired")}.get(width, ()):
             raise BlockError(f"a block of width {width} cannot be of kind {kind!r}")
-        rows, _, entries, _ = array.cells._columns  # sums and sets need no order
+        rows, _, entries, _ = array.cells._columns  # sums and marks need no order
+        support = SupportSet((width * m) // 2, includes_zero=False)
+        seen = _marks(entries, support)
         sums = [0] * (m + 1)
         for i, e in zip(rows, entries):
             sums[i] += e
-        support = SupportSet((width * m) // 2, includes_zero=False)
+            seen[e] = 1
         # each invariant is decided by a whole-list builtin; only a failing
         # one is searched for its first bad row, in the order the messages name
-        if not _is_support(entries, support):
+        if not _marked(seen, support):
             raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
         # a row holding k and -k repeats a (row, |k|) pair
         if len(set(zip(rows, map(abs, entries)))) != len(entries):

@@ -517,26 +517,57 @@ def test_full_disk_exits_1_with_one_line(argv, unbuffered):
     assert len(lines) == 1 and lines[0].startswith("cannot write output: "), lines
 
 
-def test_out_of_memory_exits_1_with_one_line(tmp_path):
-    """verify_smr's tallies for a declared 10^9 x 10^9 shape cannot be
-    allocated under a 2 GiB address-space limit; main reports it in one
-    line, not a traceback."""
+def test_out_of_memory_exits_1_with_one_line():
+    """smr gen 2 10^12 10^12 builds its array until a 256 MiB address-space
+    limit stops it; main reports it in one line, not a traceback."""
     resource = pytest.importorskip("resource")  # POSIX only
-    limit = 2 << 30
-    path = tmp_path / "huge.json"
-    path.write_text('{"m": 1000000000, "n": 1000000000, "r": 1, "s": 1, "cells": []}', encoding="utf-8")
+    limit = 256 << 20
 
     def cap_memory() -> None:  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    big = str(10**12)
     done = subprocess.run(
-        [sys.executable, "-m", "smr", "verify", str(path)],
+        [sys.executable, "-m", "smr", "gen", "2", big, big, "--json"],
         capture_output=True, preexec_fn=cap_memory, check=False,
     )
     lines = done.stderr.decode().splitlines()
     assert done.returncode == 1, lines
     assert len(lines) == 1 and lines[0].startswith("out of memory"), lines
     assert b"Traceback" not in done.stderr
+
+
+def test_declared_shape_gets_a_capped_report(tmp_path):
+    """A file that declares m = n = 10^12 and holds no cells is tallied by its
+    cells, not its shape: under a 2 GiB address-space limit it exits 3 with
+    the first 1000 violations of each count axiom and a count of the rest."""
+    resource = pytest.importorskip("resource")  # POSIX only
+    limit = 2 << 30
+    path = tmp_path / "huge.json"
+    big = 10**12
+    path.write_text(f'{{"m": {big}, "n": {big}, "r": 1, "s": 1, "cells": []}}', encoding="utf-8")
+
+    def cap_memory() -> None:  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "smr", "verify", str(path)],
+        capture_output=True, preexec_fn=cap_memory, check=False, text=True,
+    )
+    assert (done.returncode, done.stderr) == (3, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"fail ({2 * big + 1} violations)"
+    assert lines[1] == "  - row_count at row 1: 0 filled cells, expected 1"
+    assert lines[1001] == "  - col_count at col 1: 0 filled cells, expected 1"
+    assert lines[2001] == (
+        "  - support: missing [-500000000000, -499999999999, -499999999998, -499999999997, "
+        "-499999999996, -499999999995, -499999999994, -499999999993, ... (999999999992 more)], "
+        "unexpected nothing"
+    )
+    assert lines[2002:] == [
+        f"  ... and {big - 1000} more row_count violations",
+        f"  ... and {big - 1000} more col_count violations",
+    ]
 
 
 def test_size_past_an_index_exits_1_with_one_line(tmp_path, capsys):

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from array import array
+
 import pytest
 
+from smr import core
 from smr import (
     DimensionError,
     ParseError,
     Params,
     SignedArray,
     SupportSet,
+    Violation,
     entry_multiset,
     from_json,
     is_shiftable,
@@ -264,10 +270,143 @@ def _far_4x12() -> SignedArray:
             "  - support: missing [-12, -11, -10, -9, -8, -7, -6, -5, ... (16 more)], "
             "unexpected [-24, -23, -22, -21, -20, -19, -18, -17, ... (16 more)]",
         ),
+        # past +-half by one: without the range check, -5 would set 4's
+        # byte of the marks, and 5 -4's, and each would pass the support
+        (
+            lambda: _s2x4_with(c14=-5),
+            Params(2, 4, 4, 2),
+            "fail (3 violations)\n"
+            "  - support: missing [4], unexpected [-5]\n"
+            "  - row_sum at row 1: sums to -9\n"
+            "  - col_sum at col 4: sums to -9",
+        ),
+        (
+            lambda: _s2x4_with(c24=5),
+            Params(2, 4, 4, 2),
+            "fail (3 violations)\n"
+            "  - support: missing [-4], unexpected [5]\n"
+            "  - row_sum at row 2: sums to 9\n"
+            "  - col_sum at col 4: sums to 9",
+        ),
+        # +half and -half swapped: both marked, only the row sums break
+        (
+            lambda: _s2x4_with(c14=-4, c24=4),
+            Params(2, 4, 4, 2),
+            "fail (2 violations)\n"
+            "  - row_sum at row 1: sums to -8\n"
+            "  - row_sum at row 2: sums to 8",
+        ),
     ],
 )
 def test_support_violation_text_is_pinned(array, params, text):
     assert str(verify_smr(array(), params)) == text
+
+
+def test_support_marks_take_both_ends_and_zero():
+    entries = array("q", [-4, -3, -2, -1, 1, 2, 3, 4])
+    seen = core._marks(entries, SupportSet(4, False))
+    assert seen == bytearray(9)
+    for e in entries:
+        seen[e] = 1
+    assert core._marked(seen, SupportSet(4, False))
+    assert seen == bytearray([0] + [1] * 8)
+    odd = array("q", [-1, 0, 1])
+    seen = core._marks(odd, SupportSet(1, True))
+    for e in odd:
+        seen[e] = 1
+    assert core._marked(seen, SupportSet(1, True))
+    # one entry short, or one past the range: no bytes, and never marked
+    assert core._marks(entries[1:], SupportSet(4, False)) == {}
+    assert core._marks(array("q", [-5, -3, -2, -1, 1, 2, 3, 4]), SupportSet(4, False)) == {}
+    assert not core._marked({}, SupportSet(4, False))
+
+
+def test_a_declared_support_allocates_nothing_past_the_cells():
+    # one cell that declares mr = 10^12: no bytes of marks, and a capped report
+    a = SignedArray(1, 10**12, {(1, 1): 1})
+    tracemalloc.start()
+    try:
+        report = verify_smr(a, Params(1, 10**12, 10**12, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    lines = str(report).splitlines()
+    assert lines[0] == f"fail ({10**12 + 3} violations)"
+    assert lines[1] == "  - row_count at row 1: 1 filled cells, expected 1000000000000"
+    assert lines[2:4] == [
+        "  - col_count at col 2: 0 filled cells, expected 1",
+        "  - col_count at col 3: 0 filled cells, expected 1",
+    ]
+    assert lines[1002:] == [
+        "  - support: missing [-500000000000, -499999999999, -499999999998, -499999999997, "
+        "-499999999996, -499999999995, -499999999994, -499999999993, ... (999999999991 more)], "
+        "unexpected nothing",
+        "  - row_sum at row 1: sums to 1",
+        "  - col_sum at col 1: sums to 1",
+        f"  ... and {10**12 - 1001} more col_count violations",
+    ]
+
+
+def test_report_lists_at_most_1000_violations_an_axiom():
+    assert core._CAP == 1000
+    # as many rows as cells (list tallies): each row holds one 1, two are expected
+    a = SignedArray(1001, 2, {(i, 1): 1 for i in range(1, 1002)})
+    report = verify_smr(a, Params(1001, 2, 2, 1001))
+    axioms = [v.axiom for v in report.violations]
+    assert axioms.count("row_count") == axioms.count("row_sum") == 1000
+    assert report.more == (("row_count", 1), ("row_sum", 1))
+    lines = str(report).splitlines()
+    assert lines[0] == "fail (2005 violations)"
+    assert lines[1000] == "  - row_count at row 1000: 1 filled cells, expected 2"
+    assert lines[-2:] == ["  ... and 1 more row_count violations", "  ... and 1 more row_sum violations"]
+    # more rows than cells (dict tallies): every row is empty
+    report = verify_smr(SignedArray(1001, 1, {}), Params(1001, 1, 1, 1001))
+    assert report.more == (("row_count", 1),)
+    assert str(report).splitlines()[0] == "fail (1003 violations)"
+    # exactly 1000 of an axiom: all listed, no count line
+    report = verify_smr(SignedArray(1000, 1, {}), Params(1000, 1, 1, 1000))
+    assert report.more == () and "violations" not in str(report).splitlines()[-1]
+
+
+def _list_report(a: SignedArray, p: Params) -> core.VerificationReport:
+    """verify_smr's report from list tallies of every line, for a shape with
+    fewer cells than the support holds."""
+    rows, cols, entries, _ = a.cells._columns
+    row_count, row_sum = [0] * (p.m + 1), [0] * (p.m + 1)
+    col_count, col_sum = [0] * (p.n + 1), [0] * (p.n + 1)
+    for i, j, e in zip(rows, cols, entries):
+        row_count[i] += 1
+        col_count[j] += 1
+        row_sum[i] += e
+        col_sum[j] += e
+    violations, more = [], []
+    core._lines(violations, more, "row_count", row_count, p.m, p.r, "{} filled cells, expected {}")
+    core._lines(violations, more, "col_count", col_count, p.n, p.s, "{} filled cells, expected {}")
+    violations.append(Violation("support", None, core._support_detail(entries, support_set(p))))
+    core._lines(violations, more, "row_sum", row_sum, p.m, 0, "sums to {}")
+    core._lines(violations, more, "col_sum", col_sum, p.n, 0, "sums to {}")
+    return core.VerificationReport(tuple(violations), tuple(more))
+
+
+@pytest.mark.parametrize("cap", [1000, 2])
+def test_a_shape_past_the_cells_reports_as_the_list_tallies_do(monkeypatch, cap):
+    monkeypatch.setattr(core, "_CAP", cap)
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        k = rng.randrange(0, 6)  # cells
+        m, n = (k + 1, rng.randrange(1, 7)) if rng.random() < 0.5 else (rng.randrange(1, 7), k + 1)
+        shapes = [(r, m * r // n) for r in range(1, n + 1) if m * r % n == 0]
+        if m * n < k or not shapes:
+            continue
+        r, s = rng.choice(shapes)
+        keys = rng.sample([(i, j) for i in range(1, m + 1) for j in range(1, n + 1)], k)
+        a = SignedArray(m, n, {key: rng.randrange(-3, 4) for key in keys})
+        p = Params(m, n, r, s)
+        assert m > k or n > k
+        assert verify_smr(a, p) == _list_report(a, p), (a, p)
+        checked += 1
 
 
 def test_two_entry_columns_hold_value_and_negation():

@@ -153,6 +153,24 @@ def test_block_rejects_wrong_support():
         CompactBlock(from_grid(grid)[0], "three")
 
 
+@pytest.mark.parametrize(
+    "last_row",
+    [
+        "-1 -2 -4",  # -4 replaces 3; without the range check it would set 3's byte
+        "-1 -2  0",  # a 0, which no block holds
+        "-1 -2 -2",  # a repeat among six entries
+        "-1 -2",  # one entry short
+    ],
+)
+def test_block_support_marks_at_their_edges(last_row):
+    from smr import CompactBlock
+
+    cells = [(1, 1, 1), (1, 2, 2), (1, 3, -3)]
+    cells += [(2, j, int(e)) for j, e in enumerate(last_row.split(), 1)]
+    with pytest.raises(BlockError, match=r"^block entries are not exactly \+-1\.\.\+-3$"):
+        CompactBlock(SignedArray.from_cells(2, 3, cells), "three")
+
+
 def _swapped_rows_1_2(block):
     cells = dict(block.array.cells)
     cells[1, 1], cells[2, 1] = cells[2, 1], cells[1, 1]

@@ -25,7 +25,7 @@ def _records() -> dict[str, tuple[str, tuple]]:
         "CompactBlock": ("array kind", (three_column_block(4).array, "three")),
         "SupportSet": ("half includes_zero", (7, True)),
         "Violation": ("axiom index detail", violation),
-        "VerificationReport": ("violations", ((violation,),)),
+        "VerificationReport": ("violations more", ((violation,), (("row_sum", 3),))),
         "Verdict": ("feasible reason", (True, "OK_M2")),
         "TraceStep": ("op args", step),
         "RouteTrace": ("steps", ((step, TraceStep("inflate_horizontal", (("k", 2),))),)),
