@@ -109,28 +109,31 @@ def support_set(p: Params) -> SupportSet:
     return SupportSet(half=(p.m * p.r - 1) // 2, includes_zero=True)
 
 
-def _marks(entries: array, support: SupportSet) -> bytearray | dict:
-    """Zeroed marks for ``seen[e] = 1`` at each entry: a byte for each value
-    of -half..half, ``v``'s at index ``v`` (a negative one from the end).
-    When ``entries`` cannot be exactly the support, as there are not as many
-    as it holds or one lies past +-half, a dict takes the marks instead, and
-    ``_marked`` is False.  The size check runs first, so the bytes are at
-    most one more than the entries."""
+def _marks(
+    entries: array, support: SupportSet, zero: bytearray | array = bytearray(1)
+) -> bytearray | array | None:
+    """Zeroed marks for ``seen[e] = x`` at each entry, ``x`` never 0: the
+    one-slot ``zero``, copied once for each value of -half..half, ``v``'s slot
+    at index ``v`` (a negative one from the end).  When ``entries`` cannot be
+    exactly the support, as there are not as many as it holds or one lies
+    past +-half, there is nothing to mark: None, and ``_marked`` is False.
+    The size check runs first, so the slots are at most one more than the
+    entries."""
     half = support.half
     if len(entries) != 2 * half + support.includes_zero or not (
         -half <= min(entries) <= max(entries) <= half
     ):
-        return {}
-    return bytearray(2 * half + 1)
+        return None
+    return zero * (2 * half + 1)
 
 
-def _marked(seen: bytearray | dict, support: SupportSet) -> bool:
+def _marked(seen: bytearray | array | None, support: SupportSet) -> bool:
     """True iff ``seen``, from ``_marks`` and then set at each entry, shows the
-    entries to be exactly the support: every byte set but 0's, and 0's iff the
+    entries to be exactly the support: every slot set but 0's, and 0's iff the
     support holds 0.  As many entries as values, each value set, leave no room
     for a repeat."""
     zero = support.includes_zero
-    return type(seen) is bytearray and seen.count(0) == (not zero) and seen[0] == zero
+    return seen is not None and seen.count(0) == (not zero) and seen[0] == zero
 
 
 class _Cells(Mapping):
@@ -378,12 +381,13 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     OverflowError for a shape of more lines than an index holds.
 
     One loop tallies the rows and columns and marks each entry in a byte a
-    support value (``_marks``).  Each axiom is decided once, from the tallies
-    with ``list.count`` or from the marks, and only a failing one is listed:
-    the counts of the entries are built only when the support axiom fails.
-    The tallies and the marks are each at most one slot longer than the
-    cells, and a passing array holds no object a cell.  A shape with more
-    rows or columns than cells has an empty line and cannot pass: then only
+    support value (``_marks``), unless the count or the range of the entries
+    has already failed the support.  Each axiom is decided once, from the
+    tallies with ``list.count`` or from the marks, and only a failing one is
+    listed: the counts of the entries are built once, only when the support
+    axiom fails.  The tallies and the marks are each at most one slot longer
+    than the cells, and a passing array holds no object a cell.  A shape with
+    more rows or columns than cells has an empty line and cannot pass: then only
     the lines that hold cells are tallied, in ``Counter``s, and the empty
     ones are counted, not visited.  So time and memory grow with the cells
     and the ``_CAP`` listed, not with the declared shape.  No order is
@@ -408,12 +412,19 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
         col_count = [0] * (p.n + 1)
         row_sum = [0] * (p.m + 1)
         col_sum = [0] * (p.n + 1)
-        for i, j, e in zip(rows, cols, entries):
-            row_count[i] += 1
-            col_count[j] += 1
-            row_sum[i] += e
-            col_sum[j] += e
-            seen[e] = 1
+        if seen is None:  # the support has failed: nothing to mark
+            for i, j, e in zip(rows, cols, entries):
+                row_count[i] += 1
+                col_count[j] += 1
+                row_sum[i] += e
+                col_sum[j] += e
+        else:
+            for i, j, e in zip(rows, cols, entries):
+                row_count[i] += 1
+                col_count[j] += 1
+                row_sum[i] += e
+                col_sum[j] += e
+                seen[e] = 1
     violations, more = [], []
     _lines(violations, more, "row_count", row_count, p.m, p.r, "{} filled cells, expected {}")
     _lines(violations, more, "col_count", col_count, p.n, p.s, "{} filled cells, expected {}")

@@ -26,8 +26,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, namedtuple
+from operator import eq
 
 from .core import SignedArray, SupportSet, _Cells, _Checked, _marked, _marks
+
+_NO_ROW = array("q", [0])  # a slot of a row table, which _marks copies
 
 
 class BlockError(ValueError):
@@ -46,23 +49,26 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
         if kind not in {3: ("three",), 5: ("five", "five_repaired")}.get(width, ()):
             raise BlockError(f"a block of width {width} cannot be of kind {kind!r}")
         rows, _, entries, _ = array.cells._columns  # sums and marks need no order
-        support = SupportSet((width * m) // 2, includes_zero=False)
-        seen = _marks(entries, support)
+        half = (width * m) // 2
+        support = SupportSet(half, includes_zero=False)
+        # at[e]: the row of entry e, its mark; rows start at 1
+        at = _marks(entries, support, _NO_ROW)
         sums = [0] * (m + 1)
-        for i, e in zip(rows, entries):
-            sums[i] += e
-            seen[e] = 1
+        if at is not None:
+            for i, e in zip(rows, entries):
+                sums[i] += e
+                at[e] = i
         # each invariant is decided by a whole-list builtin; only a failing
         # one is searched for its first bad row, in the order the messages name
-        if not _marked(seen, support):
-            raise BlockError(f"block entries are not exactly +-1..+-{support.half}")
-        # a row holding k and -k repeats a (row, |k|) pair
-        if len(set(zip(rows, map(abs, entries)))) != len(entries):
-            seen: set[tuple[int, int]] = set()
+        if not _marked(at, support):
+            raise BlockError(f"block entries are not exactly +-1..+-{half}")
+        # each value occurs once, so a row holds k and -k iff at[k] == at[-k]
+        if any(map(eq, at[1 : half + 1], at[: -half - 1 : -1])):
+            pairs: set[tuple[int, int]] = set()
             for i, e in zip(rows, entries):
-                if (i, abs(e)) in seen:
+                if (i, abs(e)) in pairs:
                     raise BlockError(f"row {i} contains an entry and its negation")
-                seen.add((i, abs(e)))
+                pairs.add((i, abs(e)))
         # m * width cells leave no cell of the grid empty; sums[0] is 0, no row 0
         if len(entries) != m * width or sums.count(0) != m + 1:
             counts = Counter(rows)

@@ -39,12 +39,15 @@ for the unused rows: a row in use has a code > 0, so the key names the
 multiset, exactly at any size.  No frame holds a key: when a value runs
 out, the codes are back at the state its frame started from, and the key
 is computed from them as they stand, so the frames take memory by the
-depth, not by depth times the rows.  The
-table is local to each call and stops growing at ``_TABLE_CAP_NUMERATOR``
-// (8m + 75) entries, 737k at m = 2, 433k at m = 10 and 331k at m = 16.
-The numerator is no byte budget: full, the table measured 86 to 117 MiB
-there under tracemalloc (166 to 311 bytes an entry).  A full table only
-skips less.
+depth, not by depth times the rows.  The table and the memo below are
+local to each call and share one budget, ``_SEARCH_BYTES`` = 80 MiB: while
+any is left, a key recorded is charged 200 bytes plus 8 a code and a flag
+stored 100; then a search only skips less and tests rows again.  Under
+tracemalloc a key took 224 to 333 bytes in tables of 8k to 333k keys at
+m = 3 to 16 and 1,780 at m = 200 (its tuple 40 plus 8 a code, about 100 of
+codes no other key holds, and a set slot); a flag took 23 to 97.  A key
+pays for its length, the rows in use plus one, not for m; a search that
+spends the budget holds about that much, 72.9 MiB at 80 MiB, frames and all.
 
 The search state is the list of codes of the rows in use, then a 0 for
 the lowest unused row (a spare 0 once all m rows are in use), and nothing
@@ -70,8 +73,7 @@ and a memo local to each call keeps that flag per value and row code.
 Sibling frames differ in two rows, so each distinct row code is tested once
 per value, and most rows of a frame are a dict lookup.  Since a flag is a
 function of (k, code), the memo changes no candidate, node count or
-witness.  It stops growing at about ``_MEMO_BYTES`` = 16 MiB, about 100
-bytes an entry, so near 168k entries; a full memo only tests again.
+witness, and a flag that the budget has no room for is tested again.
 
 Most candidates are not viable, so they are counted in bulk, not visited:
 the candidates of one value are a fixed sequence, row of +k first, so the
@@ -98,12 +100,9 @@ from .core import Params, SignedArray, _check_ints, verify_smr
 from .criterion import feasibility
 
 DEFAULT_BUDGET = 10**8
-# the numerator of the failed-state table's entry cap: the table stops growing
-# at this // (8m + 75) entries, which measured 86 to 117 MiB at m = 2, 10 and
-# 16 (see the module docstring)
-_TABLE_CAP_NUMERATOR = 64 << 20
-# the row-test memo stops growing at about this many bytes, 100 an entry
-_MEMO_BYTES = 16 << 20
+# the bytes a search's failed-state table and row-test memo may hold together,
+# as measured under tracemalloc: a key takes 200 + 8 a code, a flag 100
+_SEARCH_BYTES = 80 << 20
 
 
 class SearchStats(
@@ -160,13 +159,12 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     width = 2 * nr + 1
     codes = [0]
     failed: set[tuple[int, ...]] = set()  # exhausted states: tuple(sorted(codes))
-    cap = _TABLE_CAP_NUMERATOR // (8 * m + 75)
     nodes = hits = pushed = depth = pruned = 0
 
     # memo[k][code]: _row_test's flags for a row of that code at value k, a
-    # dict made on k's first frame; a full memo tests again instead of storing
+    # dict made on k's first frame
     memo: dict[int, dict[int, int]] = {}
-    room = _MEMO_BYTES // 100  # entries the memo may still take
+    room = _SEARCH_BYTES  # bytes the table and the memo may still take
     full = r * width  # the code of a full row: r entries, sum 0
 
     def candidates(k: int, used: int) -> Iterator[tuple[int, int, int]]:
@@ -197,9 +195,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             if f is None:
                 count = (code + nr) // width
                 f = _row_test(r - count, k - 1, code - count * width, k)
-                if room > 0:
+                if room > 0:  # else test again next time
                     flags[code] = f
-                    room -= 1
+                    room -= 100
             if f & 1:
                 bad.append(i)
             if f & 2:
@@ -296,8 +294,9 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             # that opened with them
             _, _, p, q = frames.pop()
             if frames:
-                if len(failed) < cap:
+                if room > 0:  # else only skip less
                     failed.add(tuple(sorted(codes)))
+                    room -= 200 + 8 * len(codes)
                 codes[p] -= width + k + 1
                 codes[q] -= width - k - 1
                 del codes[frames[-1][1] + 1 :]

@@ -315,10 +315,12 @@ def test_support_marks_take_both_ends_and_zero():
     for e in odd:
         seen[e] = 1
     assert core._marked(seen, SupportSet(1, True))
-    # one entry short, or one past the range: no bytes, and never marked
-    assert core._marks(entries[1:], SupportSet(4, False)) == {}
-    assert core._marks(array("q", [-5, -3, -2, -1, 1, 2, 3, 4]), SupportSet(4, False)) == {}
-    assert not core._marked({}, SupportSet(4, False))
+    # the slots copy the one-slot table given, as a block's row table does
+    assert core._marks(entries, SupportSet(4, False), array("q", [0])) == array("q", [0] * 9)
+    # one entry short, or one past the range: no marks, and never marked
+    assert core._marks(entries[1:], SupportSet(4, False)) is None
+    assert core._marks(array("q", [-5, -3, -2, -1, 1, 2, 3, 4]), SupportSet(4, False)) is None
+    assert not core._marked(None, SupportSet(4, False))
 
 
 def test_a_declared_support_allocates_nothing_past_the_cells():

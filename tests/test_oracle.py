@@ -178,15 +178,80 @@ def test_statuses_and_witnesses_pinned():
         assert outcomes[point].nodes <= nodes, point
 
 
+def _charges(monkeypatch, m: int, r: int, budget: int | None = None) -> list[tuple[int, int]]:
+    """What a search with room for everything stores, in order: (1, bytes)
+    for each key its table records, (0, bytes) for each flag its memo keeps,
+    a key charged 200 + 8 bytes a code and a flag 100."""
+    charges = []
+    row_test = oracle._row_test
+
+    class Table(set):
+        def add(self, key):
+            charges.append((1, 200 + 8 * len(key)))
+            super().add(key)
+
+    with monkeypatch.context() as spy:
+        spy.setattr(oracle, "set", Table, raising=False)
+        spy.setattr(oracle, "_row_test", lambda *args: charges.append((0, 100)) or row_test(*args))
+        spy.setattr(oracle, "_SEARCH_BYTES", 1 << 40)
+        decide(m, r) if budget is None else decide(m, r, budget)
+    return charges
+
+
+def _keys_recorded(charges: list[tuple[int, int]], room: int) -> int:
+    """The keys recorded under a budget of ``room`` bytes: a search stores
+    while room is left, and the same as with room for everything until then."""
+    keys = 0
+    for is_key, cost in charges:
+        if room <= 0:
+            break
+        room -= cost
+        keys += is_key
+    return keys
+
+
 def test_full_table_changes_no_answer(monkeypatch):
-    # a table that stops growing after a handful of entries only skips less
-    monkeypatch.setattr(oracle, "_TABLE_CAP_NUMERATOR", 500)
+    # a budget that fills after a handful of entries only skips less and tests
+    # again, and its table holds exactly the keys that the charges allow
+    points = [(m, r) for m in range(1, 8) for r in range(1, 11)] + list(HARD_POINTS)
+    recorded = {(m, r): _keys_recorded(_charges(monkeypatch, m, r), 12_000) for m, r in points}
+    monkeypatch.setattr(oracle, "_SEARCH_BYTES", 12_000)
     digest, outcomes = _pinned_outcomes()
     assert digest == PINNED_DIGEST
-    for (m, r), outcome in outcomes.items():
-        assert outcome.stats.table_entries <= 500 // (8 * m + 75), (m, r)
+    for point, outcome in outcomes.items():
+        assert outcome.stats.table_entries == recorded[point], point
     full = outcomes[4, 15].stats
-    assert full.table_entries == 500 // (8 * 4 + 75) and full.table_hits > 0
+    assert 0 < full.table_entries < PINNED_COUNTS[4, 15, None][2][1] and full.table_hits > 0
+
+
+def test_a_keys_charge_does_not_depend_on_m(monkeypatch):
+    # a key is charged for its codes, the rows in use plus one, whatever m:
+    # keys of 4 codes at m = 3 and of 201 at m = 200, under half the bytes
+    # that each search stores with room
+    for m, r, nodes in [(3, 20, None), (8, 7, 300_000), (16, 5, 20_000), (200, 7, None)]:
+        charges = _charges(monkeypatch, m, r, nodes)
+        room = sum(cost for _, cost in charges) // 2
+        with monkeypatch.context() as half:
+            half.setattr(oracle, "_SEARCH_BYTES", room)
+            outcome = decide(m, r) if nodes is None else decide(m, r, nodes)
+        assert outcome.stats.table_entries == _keys_recorded(charges, room) > 0, (m, r)
+
+
+def test_a_full_budget_holds_what_it_states(monkeypatch):
+    # the charges are the bytes measured under tracemalloc, or more: a search
+    # that fills a 1 MiB budget peaks within 1.1 MiB, frames and all
+    room = decide(8, 7, 300_000).stats.table_entries
+    monkeypatch.setattr(oracle, "_SEARCH_BYTES", 1 << 20)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = decide(8, 7, 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < outcome.stats.table_entries < room
+    assert peak <= 1.1 * (1 << 20), peak
 
 
 def test_search_stats():
@@ -265,32 +330,35 @@ def test_row_test_is_exact():
 
 
 def test_each_row_code_is_tested_once_per_value(monkeypatch):
-    # with room in the memo no (d, R, s, k) is tested twice; a full memo tests
-    # the same rows again, to the same node count
+    # with room in the budget no (d, R, s, k) is tested twice; with none, rows
+    # are tested again, and the search is the one without a table
     tests = []
-    row_test, memo_bytes = oracle._row_test, oracle._MEMO_BYTES
+    row_test, budget = oracle._row_test, oracle._SEARCH_BYTES
     monkeypatch.setattr(oracle, "_row_test", lambda *args: tests.append(args) or row_test(*args))
     for m, r in [(8, 3), (4, 15)]:
         runs = []
-        for cap in (memo_bytes, 0):
-            monkeypatch.setattr(oracle, "_MEMO_BYTES", cap)
+        for room in (budget, 0):
+            monkeypatch.setattr(oracle, "_SEARCH_BYTES", room)
             tests.clear()
             runs.append((decide(m, r).nodes, list(tests)))
-        (nodes, once), (full_nodes, again) = runs
-        assert len(once) == len(set(once)) and set(again) == set(once), (m, r)
-        assert len(again) > len(once) and nodes == full_nodes, (m, r)
+        (nodes, once), (bare_nodes, again) = runs
+        assert len(once) == len(set(once)) and set(again) >= set(once), (m, r)
+        assert len(again) > len(set(again)) and nodes < bare_nodes <= HARD_POINTS[m, r], (m, r)
 
 
-@pytest.mark.parametrize("memo_bytes", [0, 500])
-def test_full_memo_changes_nothing(monkeypatch, memo_bytes):
-    # a memo that takes no entry, or a handful, only tests rows again
+@pytest.mark.parametrize("budget", [0, 500])
+def test_full_memo_changes_nothing(monkeypatch, budget):
+    # a budget that takes no entry, or a handful, only tests rows again and
+    # skips less: statuses and witnesses stay, and nodes can only rise
     points = [(m, r, None) for m in range(1, 7) for r in range(1, 9)]
     points += [(m, r, None) for m, r in HARD_POINTS] + [(8, 5, 100_000)]
-    outcomes = [decide(m, r) if budget is None else decide(m, r, budget) for m, r, budget in points]
-    monkeypatch.setattr(oracle, "_MEMO_BYTES", memo_bytes)
-    for (m, r, budget), full in zip(points, outcomes):
-        outcome = decide(m, r) if budget is None else decide(m, r, budget)
-        assert outcome == full and outcome.stats == full.stats, (m, r)
+    outcomes = [decide(m, r) if nodes is None else decide(m, r, nodes) for m, r, nodes in points]
+    recorded = [_keys_recorded(_charges(monkeypatch, *point), budget) for point in points]
+    monkeypatch.setattr(oracle, "_SEARCH_BYTES", budget)
+    for (m, r, nodes), full, keys in zip(points, outcomes, recorded):
+        outcome = decide(m, r) if nodes is None else decide(m, r, nodes)
+        assert outcome[:2] == full[:2] and outcome.nodes >= full.nodes, (m, r)
+        assert outcome.stats.table_entries == keys, (m, r)
 
 
 def test_every_refutation_is_settled_at_the_root():
