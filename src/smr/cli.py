@@ -81,6 +81,11 @@ def _write(a, p: Params, fmt: str) -> None:
 
 
 def _budget(args: argparse.Namespace) -> int:
+    """The node budget asked for, or the search's own default."""
+    if args.budget is None:
+        from .oracle import DEFAULT_BUDGET
+
+        return DEFAULT_BUDGET
     if args.budget < 0:
         raise _UsageError(f"--budget must be >= 0, got {args.budget}")
     return args.budget
@@ -123,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("m", type=int)
     p_oracle.add_argument("r", type=int)
-    p_oracle.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
+    p_oracle.add_argument("--budget", type=int)
     p_oracle.add_argument("--witness", action="store_true")
     p_oracle.add_argument(
         "--stats", action="store_true",
@@ -137,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.set_defaults(run=_cmd_crosscheck)
     p_cross.add_argument("--max-m", type=int, required=True)
     p_cross.add_argument("--max-r", type=int, required=True)
-    p_cross.add_argument("--budget", type=int, default=10**8)  # oracle.DEFAULT_BUDGET
+    p_cross.add_argument("--budget", type=int)
 
     p_sweep = sub.add_parser(
         "sweep", help="construct and verify every feasible point in a parameter grid"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping
 from itertools import chain, islice, repeat
 
@@ -383,15 +383,16 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     One loop tallies the rows and columns and marks each entry in a byte a
     support value (``_marks``), unless the count or the range of the entries
     has already failed the support.  Each axiom is decided once, from the
-    tallies with ``list.count`` or from the marks, and only a failing one is
-    listed: the counts of the entries are built once, only when the support
-    axiom fails.  The tallies and the marks are each at most one slot longer
-    than the cells, and a passing array holds no object a cell.  A shape with
-    more rows or columns than cells has an empty line and cannot pass: then only
-    the lines that hold cells are tallied, in ``Counter``s, and the empty
-    ones are counted, not visited.  So time and memory grow with the cells
-    and the ``_CAP`` listed, not with the declared shape.  No order is
-    needed, so the columns are read as they are stored.
+    tallies or from the marks, and only a failing one is listed: the counts
+    of the entries are built once, only when the support axiom fails.  Each
+    axis picks its own tallies (``_tallies``): lists of a slot a line when
+    it has no more lines than there are cells, else dicts of the lines that
+    hold cells, as such an axis has an empty line and cannot pass, and its
+    empty lines are counted, not visited.  So the tallies and the marks are
+    each at most one slot longer than the cells, a passing array holds no
+    object a cell, and time and memory grow with the cells and the ``_CAP``
+    listed, not with the declared shape.  No order is needed, so the columns
+    are read as they are stored.
     """
     if a.rows != p.m or a.cols != p.n:
         raise DimensionError(
@@ -400,31 +401,21 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     rows, cols, entries, _ = a.cells._columns
     support = support_set(p)
     seen = _marks(entries, support)
-    if p.m > len(entries) or p.n > len(entries):  # a line is empty; mr > the cells, so no marks
-        if max(p.m, p.n) > sys.maxsize:  # as a list of the lines would raise
-            raise OverflowError("cannot fit 'int' into an index-sized integer")
-        row_count, col_count, row_sum, col_sum = Counter(rows), Counter(cols), Counter(), Counter()
+    row_count, row_sum = _tallies(p.m, len(entries))
+    col_count, col_sum = _tallies(p.n, len(entries))
+    if seen is None:  # the support has failed: nothing to mark
         for i, j, e in zip(rows, cols, entries):
+            row_count[i] += 1
+            col_count[j] += 1
             row_sum[i] += e
             col_sum[j] += e
     else:
-        row_count = [0] * (p.m + 1)
-        col_count = [0] * (p.n + 1)
-        row_sum = [0] * (p.m + 1)
-        col_sum = [0] * (p.n + 1)
-        if seen is None:  # the support has failed: nothing to mark
-            for i, j, e in zip(rows, cols, entries):
-                row_count[i] += 1
-                col_count[j] += 1
-                row_sum[i] += e
-                col_sum[j] += e
-        else:
-            for i, j, e in zip(rows, cols, entries):
-                row_count[i] += 1
-                col_count[j] += 1
-                row_sum[i] += e
-                col_sum[j] += e
-                seen[e] = 1
+        for i, j, e in zip(rows, cols, entries):
+            row_count[i] += 1
+            col_count[j] += 1
+            row_sum[i] += e
+            col_sum[j] += e
+            seen[e] = 1
     violations, more = [], []
     _lines(violations, more, "row_count", row_count, p.m, p.r, "{} filled cells, expected {}")
     _lines(violations, more, "col_count", col_count, p.n, p.s, "{} filled cells, expected {}")
@@ -435,14 +426,28 @@ def verify_smr(a: SignedArray, p: Params) -> VerificationReport:
     return VerificationReport(tuple(violations), tuple(more))
 
 
-def _lines(violations: list, more: list, axiom: str, tally: list | Counter, lines: int,
+def _tallies(lines: int, cells: int) -> tuple[list, list] | tuple[dict, dict]:
+    """The count and sum tallies of an axis of ``lines`` lines over ``cells``
+    cells: two lists of a slot a line after slot 0 when the lines are no more
+    than the cells, else two ``defaultdict``s of the lines that hold cells,
+    which the tally loops fill alike."""
+    if lines <= cells:
+        return [0] * (lines + 1), [0] * (lines + 1)
+    if lines > sys.maxsize:  # as a list of the lines would raise
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    return defaultdict(int), defaultdict(int)
+
+
+def _lines(violations: list, more: list, axiom: str, tally: list | dict, lines: int,
            target: int, detail: str) -> None:
     """List the first ``_CAP`` of lines 1..``lines`` whose tally is not
     ``target``, each with ``detail`` formatted by the tally and the target,
     and count the rest in ``more``.  ``tally`` is a list with a slot a line
-    after slot 0, which holds 0, or a ``Counter`` of the lines that hold
+    after slot 0, which holds 0, or a ``defaultdict`` of the lines that hold
     cells: every other line tallies 0, and is counted, and visited only by a
-    count axiom (``target`` >= 1), where each one fails."""
+    count axiom (``target`` >= 1), where each one fails.  The count is taken
+    before any line is read, so the zeros that reading an absent line inserts
+    into a ``defaultdict`` change nothing."""
     listed = type(tally) is list
     if listed:
         bad = lines + (target == 0) - tally.count(target)

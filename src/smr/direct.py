@@ -38,7 +38,14 @@ class BlockError(ValueError):
 
 
 class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
-    """A zero-row-sum block ready to be spread to full width."""
+    """A zero-row-sum block ready to be spread to full width.
+
+    A block that breaks an invariant raises ``BlockError`` for the first
+    invariant it breaks, naming a row where there is one.  A row that holds
+    an entry and its negation is the lowest such row, read off the row of
+    each value: on a row-major store, as every block built here and every
+    array from the checked door has, that is the first such row in storage
+    order."""
 
     __slots__ = ()
 
@@ -64,11 +71,8 @@ class CompactBlock(_Checked, namedtuple("CompactBlock", "array kind")):
             raise BlockError(f"block entries are not exactly +-1..+-{half}")
         # each value occurs once, so a row holds k and -k iff at[k] == at[-k]
         if any(map(eq, at[1 : half + 1], at[: -half - 1 : -1])):
-            pairs: set[tuple[int, int]] = set()
-            for i, e in zip(rows, entries):
-                if (i, abs(e)) in pairs:
-                    raise BlockError(f"row {i} contains an entry and its negation")
-                pairs.add((i, abs(e)))
+            row = min(i for i, j in zip(at[1 : half + 1], at[: -half - 1 : -1]) if i == j)
+            raise BlockError(f"row {row} contains an entry and its negation")
         # m * width cells leave no cell of the grid empty; sums[0] is 0, no row 0
         if len(entries) != m * width or sums.count(0) != m + 1:
             counts = Counter(rows)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr import SEED_IDS, Params, construct, from_csv, from_json, seed, to_csv, to_grid, to_json
-from smr.cli import _grid_bytes, build_parser, main
+from smr.cli import _budget, _grid_bytes, build_parser, main
 from smr.oracle import DEFAULT_BUDGET
 
 from goldens import GRID_2x12, golden
@@ -711,7 +711,53 @@ def test_verify_survives_one_mutation(tmp_path_factory, case):
 
 def test_budget_default_is_the_oracle_default():
     for argv in (["oracle", "2", "5"], ["crosscheck", "--max-m", "2", "--max-r", "2"]):
-        assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
+        assert _budget(build_parser().parse_args(argv)) == DEFAULT_BUDGET
+
+
+def test_budget_default_is_read_from_the_oracle(capsys, monkeypatch):
+    # the parser states no budget of its own: the search's default is the one
+    import smr.oracle
+
+    monkeypatch.setattr(smr.oracle, "DEFAULT_BUDGET", 3)
+    assert run_cli(capsys, "oracle", 4, 5) == (4, "cutoff (nodes: 4)\n", "")
+
+
+BUDGET_HELP = {
+    "oracle": """\
+usage: smr oracle [-h] [--budget BUDGET] [--witness] [--stats] [--grid]
+                  [--json] [--csv]
+                  m r
+
+positional arguments:
+  m
+  r
+
+options:
+  -h, --help       show this help message and exit
+  --budget BUDGET
+  --witness
+  --stats          write the search's counters and speed as one JSON line on
+                   stderr
+  --grid           print the array as a grid (the default)
+  --json           print the array as JSON
+  --csv            print the array as CSV
+""",
+    "crosscheck": """\
+usage: smr crosscheck [-h] --max-m MAX_M --max-r MAX_R [--budget BUDGET]
+
+options:
+  -h, --help       show this help message and exit
+  --max-m MAX_M
+  --max-r MAX_R
+  --budget BUDGET
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_HELP))
+def test_budget_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    assert run_cli(capsys, command, "--help") == (0, BUDGET_HELP[command], "")
 
 
 @pytest.mark.parametrize("m,n,r", [(2, 4, 4), (2, 12, 12), (3, 6, 4), (7, 14, 4), (9, 63, 14), (40, 100, 5)])

@@ -193,6 +193,16 @@ def _swapped_rows_1_2(block):
             "five",
             "row 1 is not fully filled",
         ),
+        # rows 2 and 3 each hold a value and its negation: the lowest is named
+        (
+            SignedArray.from_cells(4, 3, [
+                (i, j + 1, e)
+                for i, row in enumerate([(1, 2, -3), (4, -4, 5), (6, -6, -5), (-1, -2, 3)], 1)
+                for j, e in enumerate(row)
+            ]),
+            "three",
+            "row 2 contains an entry and its negation",
+        ),
     ],
 )
 def test_block_names_its_first_bad_row(array, kind, message):

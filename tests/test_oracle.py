@@ -147,11 +147,12 @@ def test_cross_check_reports_cutoffs_separately():
     assert report.ok  # cutoffs are not disagreements
 
 
-# (m, r) -> nodes of the search without the failed-state table; the table
-# only skips subtrees without a witness, so counts can only fall
+# (m, r) -> the exact nodes of the search with no byte budget (_SEARCH_BYTES
+# = 0), so with no failed-state table and no row-test memo; the table only
+# skips subtrees without a witness, so counts with it can only fall
 HARD_POINTS = {
-    (8, 3): 26342, (4, 15): 23352, (4, 17): 18192, (3, 20): 17345, (6, 9): 59500,
-    (7, 10): 41067, (4, 19): 32437, (2, 17): 9483, (2, 18): 17521, (2, 21): 112783,
+    (8, 3): 26342, (4, 15): 22356, (4, 17): 2760, (3, 20): 11165, (6, 9): 89,
+    (7, 10): 20147, (4, 19): 215, (2, 17): 1, (2, 18): 1, (2, 21): 1,
 }
 # sha256 over (m, r, status, sorted witness cells) of every decide(m, r) with
 # m <= 7, r <= 10, then the hard points, computed with the search without
@@ -343,7 +344,7 @@ def test_each_row_code_is_tested_once_per_value(monkeypatch):
             runs.append((decide(m, r).nodes, list(tests)))
         (nodes, once), (bare_nodes, again) = runs
         assert len(once) == len(set(once)) and set(again) >= set(once), (m, r)
-        assert len(again) > len(set(again)) and nodes < bare_nodes <= HARD_POINTS[m, r], (m, r)
+        assert len(again) > len(set(again)) and nodes < bare_nodes == HARD_POINTS[m, r], (m, r)
 
 
 @pytest.mark.parametrize("budget", [0, 500])
@@ -359,6 +360,8 @@ def test_full_memo_changes_nothing(monkeypatch, budget):
         outcome = decide(m, r) if nodes is None else decide(m, r, nodes)
         assert outcome[:2] == full[:2] and outcome.nodes >= full.nodes, (m, r)
         assert outcome.stats.table_entries == keys, (m, r)
+        if not budget and (m, r) in HARD_POINTS:  # the search without a table
+            assert outcome.nodes == HARD_POINTS[m, r], (m, r)
 
 
 def test_every_refutation_is_settled_at_the_root():
