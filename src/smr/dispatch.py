@@ -5,12 +5,13 @@ through a fixed pipeline of seeds, inflations, joins and direct blocks,
 recording the applied operator sequence so a result can be replayed exactly.
 
 ``replay`` runs a trace on ``transforms.Layout`` values: seeds and spread
-blocks enter as one-part layouts, the inflations and joins rearrange parts,
-and the array is written once, when the last step's layout is materialized.
-``construct`` runs the same steps, but keeps the two pieces a point is made
-of, its width-4 base and its degree-c tail, which depend only on m and
-r mod 4, so that every r at one m builds them once.  A piece is kept as the
-one-part layout of its array, keyed by the sub-trace that builds it, for
+blocks enter as one-copy runs, an inflation is one run of copies and a join
+moves runs, and the array is written once, when the last step's layout is
+materialized.  ``construct`` builds the two pieces a point is made of, its
+width-4 base and its degree-c tail, through the same steps, then calls its
+own inflation and join on them directly.  The pieces depend only on m and
+r mod 4, so that every r at one m builds them once: a piece is kept as the
+one-copy layout of its array, keyed by the sub-trace that builds it, for
 points of at most 170 rows and at most 256 pieces (``construct`` gives
 their memory); kept arrays are shared between calls, as arrays are
 immutable.  ``replay`` keeps nothing of the traces it is given.
@@ -70,7 +71,7 @@ def _seed_layout(seed_id: str) -> Layout:
 
 def _spread_layout(block: CompactBlock) -> Layout:
     a = spread(block)  # not shiftable: each row holds 3 or 5 cells, which cannot balance
-    return Layout(a.rows, a.cols, len(a.cells), False, ((a, 0, 0, 0),))
+    return Layout(a.rows, a.cols, len(a.cells), False, ((a, 1, 0, 0, 0, 0),))
 
 
 # Trace ops: the function, the kinds of the operands it pops (a join's fixed
@@ -178,13 +179,14 @@ _PIECES = 256
 
 @lru_cache(maxsize=_PIECES)
 def _piece(steps: tuple[TraceStep, ...]) -> Layout:
-    """The one-part layout of a sub-trace of construct's, kept: its steps run
+    """The one-copy layout of a sub-trace of construct's, kept: its steps run
     through ``_run`` as replay runs them, its array materialized once, and
     its own shiftability flag, so nothing is rescanned.  The steps are the
     key: they fix the piece exactly.  Two threads may build one piece at
     once; they build equal arrays, and the cache keeps one."""
     top = _run(steps)
-    return Layout(top.rows, top.cols, top.size, top.shiftable, ((top.materialize(), 0, 0, 0),))
+    leaf = top.materialize()
+    return Layout(top.rows, top.cols, top.size, top.shiftable, ((leaf, 1, 0, 0, 0, 0),))
 
 
 def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
@@ -218,13 +220,13 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
 
     The base and the tail are kept.  At m <= 170 rows, each is built once
     per process from its own sub-trace, which is also its key, and kept as
-    a one-part layout of its array with its own shiftability flag: at most
+    a one-copy layout of its array with its own shiftability flag: at most
     256 pieces, the least recently used dropped first.  construct then
-    applies its own ``inflate_horizontal`` and ``join_horizontal`` steps
-    through the same ``_apply`` that ``replay`` uses, so it returns
-    ``replay(trace)``'s array.  A piece holds at most 6m cells at about 24
-    bytes a cell, so the pieces hold at most 256 x 6 x 170 x 24 B, about
-    6 MiB (3.98 MiB for the 256 largest), and after the sweep of every
+    calls ``Layout.inflate_horizontal`` and ``Layout.join_horizontal``, the
+    operators that ``replay`` runs for those two steps of the trace, so it
+    returns ``replay(trace)``'s array.  A piece holds at most 6m cells at
+    about 24 bytes a cell, so the pieces hold at most 256 x 6 x 170 x 24 B,
+    about 6 MiB (3.98 MiB for the 256 largest), and after the sweep of every
     m, r <= 40 the 116 kept pieces hold 419 KiB under tracemalloc.  A kept
     array is shared between calls, and may itself be the array returned
     (rules 3 and 4, or one copy and no tail); that is safe because arrays
@@ -242,20 +244,17 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
         raise OverflowError(f"n = {n} is past 2^63 - 1, the largest index or entry a cell holds")
 
     tail = _tail(m, r % 4)
-    if m > 2 and r in (3, 5):  # rules 3 and 4; m is even, since r is odd
-        base, tail, inflate = tail, (), ()
-    else:
-        base = _width4(m)
-        inflate = (_step("inflate_horizontal", k=(r - _TAIL_DEGREE[r % 4]) // 4),)
-    join = (_step("join_horizontal"),) if tail else ()
     piece = _piece if m <= _PIECE_ROWS else _run  # a taller piece is built for its point alone
-    stack: list[Layout | CompactBlock] = [piece(base)]
-    for st in inflate:
-        _apply(st, stack)
+    if m > 2 and r in (3, 5):  # rules 3 and 4, the tail alone; m is even, since r is odd
+        return piece(tail).materialize(), RouteTrace(tail)
+    base = _width4(m)
+    k = (r - _TAIL_DEGREE[r % 4]) // 4
+    layout = piece(base).inflate_horizontal(k)
+    steps = base + (_step("inflate_horizontal", k=k),)
     if tail:
-        stack.append(piece(tail))
-        _apply(join[0], stack)
-    return stack[0].materialize(), RouteTrace(base + inflate + tail + join)
+        layout = layout.join_horizontal(piece(tail))
+        steps += tail + (_step("join_horizontal"),)
+    return layout.materialize(), RouteTrace(steps)
 
 
 # Row degree c of the tail that completes degree r, indexed by r mod 4.

@@ -277,7 +277,7 @@ def decide(m: int, r: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 codes += [0] * (now_used - used)
             codes[p] += width + k
             codes[q] += width - k
-            if tuple(sorted(codes)) in failed:
+            if failed and tuple(sorted(codes)) in failed:
                 hits += 1
                 codes[p] -= width + k
                 codes[q] -= width - k

@@ -10,17 +10,18 @@ inflations (k = 0) and go through the same join code, under the same
 preconditions, so boundary cases of the dispatch table need no special-casing.
 
 The operators act on a ``Layout``: a shape, a cell count, a shiftability
-flag and a list of parts, each a leaf array placed at a row and column
-offset with its entries moved a fixed amount away from zero.  Each part
-has its own band of columns, and the parts run in order of column offset.
-A join only appends parts and an inflation lays out copies of its
-materialized operand, so a chain of operators writes each output cell
-once, when ``Layout.materialize`` builds the array.  It writes the parts
-one after another, each a leaf's row-major columns moved, a run of copies
-of one leaf through one batched loop (``_append``), and records the bands
-they form: runs of full-height copies side by side, and parts stacked
-down the rows.  The array's first ordered read moves the bands
-row-major with strided slices (``_row_major``); a store they do not
+flag and a list of runs, each k copies of a leaf array placed from a row
+and column offset with their entries moved a fixed amount away from zero,
+copy b a fixed step further down, b leaf widths further right and b leaf
+quanta further out.  Each copy has its own band of columns, and the runs
+go in order of column offset.  A join only appends runs and an inflation
+is one run of copies of its materialized operand, so a chain of operators
+writes each output cell once, when ``Layout.materialize`` builds the
+array.  It writes the runs one after another, each a leaf's row-major
+columns moved for each copy through one batched loop (``_append``), and
+records the bands they form: runs of full-height copies side by side, and
+copies stacked down the rows.  The array's first ordered read moves the
+bands row-major with strided slices (``_row_major``); a store they do not
 describe, made from an array with uneven rows, is sorted by row
 (``_by_row``), the one other way to row order.  Building and checking an
 array need no order.  The array is made with ``SignedArray._trusted``:
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import groupby
 
 from .core import SignedArray, _Cells, is_shiftable
 
@@ -61,8 +61,11 @@ def _check_count(k: object, what: str) -> None:
 
 class Layout:
     """An array not yet written: ``rows`` x ``cols`` holding ``size`` cells,
-    the union of ``parts``, each a (leaf, row offset, column offset, shift),
-    in order of column offset.
+    the union of ``parts``, each a run (leaf, copies, row offset, column
+    offset, shift, row step) in order of column offset, whose copy b lies
+    b row steps down (0 side by side, the leaf's rows down the diagonal)
+    and b leaf widths right of the offsets, its entries b times half the
+    leaf's cells further from zero than the shift.
     ``shiftable`` is True iff the layout is shiftable.
 
     A value: no operator changes a layout, each returns a new one.  A slots
@@ -80,47 +83,44 @@ class Layout:
 
     @classmethod
     def of(cls, a: SignedArray) -> Layout:
-        return cls(a.rows, a.cols, len(a.cells), is_shiftable(a), ((a, 0, 0, 0),))
+        return cls(a.rows, a.cols, len(a.cells), is_shiftable(a), ((a, 1, 0, 0, 0, 0),))
 
     def materialize(self) -> SignedArray:
-        """Write the parts' cells into one array, part by part: each run of
-        copies of one leaf takes that leaf's row-major columns, moved, in one
-        pass a column.  The array's columns are then in part order, and the
-        walk over the runs records their bands, without reading a column:
-        a run of full-height copies, which lie side by side, is one band of
-        k copies; a part of fewer rows that lies below the one before it
-        extends that one's band, and any other starts a band of one copy.
-        One band of one copy is row-major.  Otherwise the array gets its
-        order from ``_row_major`` when an order is first needed
-        (``_Cells``), which building it and checking it never do."""
+        """Write the runs' cells into one array, run by run: the copies of a
+        run take its leaf's row-major columns, moved, in one pass a column.
+        The array's columns are then in part order, and the walk over the
+        runs records their bands, without reading a column: a run of
+        full-height copies, which lie side by side, is one band of k copies;
+        a copy of fewer rows that lies below the one before it extends that
+        one's band, and any other starts a band of one copy.  One band of
+        one copy is row-major.  Otherwise the array gets its order from
+        ``_row_major`` when an order is first needed (``_Cells``), which
+        building it and checking it never do."""
         if len(self.parts) == 1:  # the leaf itself, when it is all of the array
-            a, row_off, col_off, t = self.parts[0]
+            a, _, row_off, col_off, t, _ = self.parts[0]
             if not (row_off or col_off or t) and a.rows == self.rows and a.cols == self.cols:
                 return a
         row, col, entry = array("q"), array("q"), array("q")
         bands: list[tuple[int, int]] = []  # (copies, cells a copy), in part order
-        below = None  # the first row under the last part, while its band may grow
-        for _, run in groupby(self.parts, lambda part: id(part[0])):  # copies of one leaf
-            # unpacked from a list: unpacking the group's iterator itself
-            # raised perfbench sweep's peak RSS by 2 MB (20 s runs, 10 of 10)
-            leaves, row_offs, col_offs, shifts = zip(*list(run))
-            rows, cols, entries = leaves[0].cells._sorted()
-            _append(row, rows, row_offs)
-            _append(col, cols, col_offs)
-            _append(entry, entries, shifts, away=True)
-            size, height = len(rows), leaves[0].rows
+        below = None  # the first row under the last copy, while its band may grow
+        for a, k, row_off, col_off, t, step in self.parts:
+            rows, cols, entries = a.cells._sorted()
+            _append(row, rows, row_off, step, k)
+            _append(col, cols, col_off, a.cols, k)
+            _append(entry, entries, t, len(rows) // 2, k, away=True)
+            size, height = len(rows), a.rows
             if not size:
                 continue
             if height == self.rows:  # full height, so at row offset 0
-                bands.append((len(row_offs), size))
+                bands.append((k, size))
                 below = None
                 continue
-            for row_off in row_offs:
-                if below is not None and below <= row_off:
-                    bands[-1] = (1, bands[-1][1] + size)
-                else:
-                    bands.append((1, size))
-                below = row_off + height
+            if below is None or row_off < below:  # else the first copy extends the last band
+                bands.append((1, 0))
+            stacked = k if step else 1  # each diagonal copy lies below the one before it
+            bands[-1] = (1, bands[-1][1] + stacked * size)
+            bands += [(1, size)] * (k - stacked)  # later copies side by side start bands
+            below = row_off + (k - 1) * step + height
         order = None
         if len(bands) > 1 or bands and bands[0][0] > 1:
             order = partial(_row_major, self.rows, tuple(bands))
@@ -138,10 +138,8 @@ class Layout:
             raise NotShiftableError(f"{name} inflation requires a shiftable array")
         if k == 1:
             return self
-        quantum = self.size // 2  # even: each row of a shiftable layout balances
-        a = self.materialize() if k else None
         row_step = self.rows if diagonal else 0
-        parts = tuple([(a, b * row_step, b * self.cols, b * quantum) for b in range(k)])
+        parts = ((self.materialize(), k, 0, 0, 0, row_step),) if k else ()
         rows = self.rows * k if diagonal else self.rows
         return Layout(rows, self.cols * k, self.size * k, True, parts)
 
@@ -154,7 +152,7 @@ class Layout:
         return self._join(b, b.rows, "diagonal", "its row count times the shared row degree")
 
     def _join(self, b: Layout, row_off: int, name: str, parity: str) -> Layout:
-        """b's parts, then self's moved past b (down by row_off, right by
+        """b's runs, then self's moved past b (down by row_off, right by
         b.cols) and shifted past b's entry range; the flag is b's."""
         if not self.shiftable:
             raise NotShiftableError(f"{name} join requires a shiftable first operand")
@@ -168,27 +166,27 @@ class Layout:
                         f"{line} degrees differ: {_degree(self, line)} vs {_degree(b, line)}"
                     )
         t = b.size // 2
-        moved = tuple([(a, i + row_off, j + b.cols, s + t) for a, i, j, s in self.parts])
+        moved = [(a, k, i + row_off, j + b.cols, s + t, d) for a, k, i, j, s, d in self.parts]
         return Layout(
             self.rows + row_off, self.cols + b.cols, self.size + b.size,
-            b.shiftable, b.parts + moved,
+            b.shiftable, b.parts + tuple(moved),
         )
 
 
-def _append(out: array, column: array, moves: tuple, away: bool = False) -> None:
-    """Append ``column`` once for each of ``moves``, in order, each copy's
-    values plus the move, or with ``away`` moved that far from zero.  Copies
+def _append(out: array, column: array, start: int, step: int, k: int, away: bool = False) -> None:
+    """Append ``column`` k times, in order, copy b's values plus
+    ``start + b * step``, or with ``away`` moved that far from zero.  Copies
     that move nothing are appended as they are; the others are written in
     one loop, about ``_BATCH`` values at a time: as many copies together as
     fit in ``_BATCH`` values, at least one, one ``_BATCH``-value slice of the
     column at a time."""
-    if not (column and any(moves)):
-        for _ in moves:
+    if not column or not start and (not step or k < 2):
+        for _ in range(k):
             out.extend(column)
         return
     per = max(1, _BATCH // len(column))  # copies a group
-    for at in range(0, len(moves), per):
-        group = moves[at : at + per]
+    for at in range(0, k, per):
+        group = [start + b * step for b in range(at, min(at + per, k))]
         for lo in range(0, len(column), _BATCH):
             values = column[lo : lo + _BATCH].tolist()
             if away:
@@ -203,7 +201,7 @@ _BATCH = 1 << 12  # about how many values ``_append`` writes at once
 def _row_major(m: int, bands: tuple, row: array, col: array, entry: array) -> list[array]:
     """The columns of an m-row array in part order, as ``materialize``
     records its ``bands``, moved row-major: the stable sort by row, since
-    the rows of each copy never fall and the parts run in column order.
+    the rows of each copy never fall and the copies run in column order.
 
     Each copy of a band must hold d cells in each of rows 1..m, which its
     rows show at two strides, its first and its last cell of each row, as
@@ -266,7 +264,7 @@ def shift(a: SignedArray, t: int) -> SignedArray:
     _check_count(t, "shift amount")
     if not is_shiftable(a):
         raise NotShiftableError("refusing to shift a non-shiftable array")
-    return Layout(a.rows, a.cols, len(a.cells), True, ((a, 0, 0, t),)).materialize()
+    return Layout(a.rows, a.cols, len(a.cells), True, ((a, 1, 0, 0, t, 0),)).materialize()
 
 
 def inflate_horizontal(a: SignedArray, k: int) -> SignedArray:

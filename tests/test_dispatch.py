@@ -273,11 +273,14 @@ def test_kept_pieces_build_what_replay_builds():
 
 
 def test_a_point_above_the_row_bound_keeps_nothing():
+    # at every m mod 4, so that each cap seed is joined: S_5x10 and S_5x15
+    # at m = 173, S_6x18 at 174, S_3x6 and S_3x9 at 175
     _piece.cache_clear()
-    m = _PIECE_ROWS + 2  # even: every rule with a tail applies
-    for r in (4, 5, 6, 7, 9):
-        a, trace = construct(m, m * r // 2, r)
-        assert a == replay(trace)
+    for m in range(_PIECE_ROWS + 2, _PIECE_ROWS + 6):
+        for r in range(3, 11):
+            if feasibility(m, m * r // 2, r).feasible:
+                a, trace = construct(m, m * r // 2, r)
+                assert _rows_and_items(a) == _rows_and_items(replay(trace)), (m, r)
     assert _piece.cache_info().currsize == 0
     construct(_PIECE_ROWS, _PIECE_ROWS * 3, 6)
     assert _piece.cache_info().currsize == 2  # the width-4 base and the degree-6 tail

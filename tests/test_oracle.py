@@ -440,6 +440,17 @@ def test_memory_follows_the_depth():
     assert peak <= 8 << 20
 
 
+def test_a_search_with_no_failed_state_builds_no_key(monkeypatch):
+    # a witness found without backtracking records no failed state, so no
+    # candidate sorts the rows in use to look its state up: the one sort is
+    # the witness's
+    calls = []
+    monkeypatch.setattr(oracle, "sorted", lambda *a: calls.append(a) or sorted(*a), raising=False)
+    outcome = decide(200, 4)
+    assert (outcome.status, outcome.stats.table_entries) == ("exists", 0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("r, budget, status, nodes", [(2, 10**8, "not_exists", 1), (4, 1000, "cutoff", 1001)])
 def test_memory_follows_the_rows_opened_not_m(r, budget, status, nodes):
     # m = 10^12: the state holds the rows in use and the lowest unused row,

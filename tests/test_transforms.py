@@ -308,6 +308,31 @@ def test_join_shiftability_follows_fixed_operand():
     assert Layout.of(shiftable_b).inflate_diagonal(3).join_diagonal(flagged_b).shiftable is True
 
 
+def test_a_layouts_memory_does_not_grow_with_its_copies():
+    # an inflation is one run of copies, and a join moves runs: 100,000
+    # diagonal copies of S_2x4, and the width-4 bases of 200,000 rows and of
+    # 200,003 rows, take no memory a copy before they are materialized
+    import tracemalloc
+
+    from smr import dispatch
+
+    base = Layout.of(seed("S_2x4")[0])
+    for sid in ("S_2x4", "S_3x6"):  # the seed layouts are cached, not the runs'
+        dispatch._seed_layout(sid)
+    for build in (
+        lambda: base.inflate_diagonal(100_000),
+        lambda: dispatch._run(dispatch._width4(200_000)),
+        lambda: dispatch._run(dispatch._width4(200_003)),  # joined after the S_3x6 cap
+    ):
+        tracemalloc.start()
+        try:
+            layout = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(layout.parts) <= 2 and peak < 64 << 10, (layout.rows, peak)
+
+
 @settings(max_examples=60)
 @given(st.sampled_from(SHIFTABLE_SEEDS), st.integers(min_value=1, max_value=4))
 def test_join_horizontal_verifies_on_matched_operands(sid, k):
@@ -342,11 +367,10 @@ def test_append_equals_a_per_copy_reference_at_every_batch_boundary(monkeypatch,
         for copies in (1, 2, batch // 3 + 1):
             if size * copies > 1 << 15:
                 continue
-            for moves in (range(0, 5 * copies, 5), range(7, 7 + 5 * copies, 5), [0] * copies):
-                moves = tuple(moves)
+            for start, step in ((0, 5), (7, 5), (0, 0)):
                 out = array("q", [99])
-                transforms._append(out, column, moves, away)
+                transforms._append(out, column, start, step, copies, away)
                 expected = [99]
-                for t in moves:
+                for t in [start + b * step for b in range(copies)]:
                     expected += [(v + t if v > 0 else v - t) if away else v + t for v in column]
-                assert out.tolist() == expected, (size, copies, moves)
+                assert out.tolist() == expected, (size, copies, start, step)
