@@ -14,7 +14,9 @@ r mod 4, so that every r at one m builds them once: a piece is kept as the
 one-copy layout of its array, keyed by the sub-trace that builds it, for
 points of at most 170 rows and at most 256 pieces (``construct`` gives
 their memory); kept arrays are shared between calls, as arrays are
-immutable.  ``replay`` keeps nothing of the traces it is given.
+immutable.  The sub-traces themselves, the steps of a point's base and
+tail, are built once per m and kept under the same bound of 256.
+``replay`` keeps nothing of the traces it is given.
 """
 
 from __future__ import annotations
@@ -218,7 +220,10 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
     the S_2x4 or S_4x12 seed along the diagonal, joined after a cap seed
     chosen by m mod 4 when the seed's row count does not divide m.
 
-    The base and the tail are kept.  At m <= 170 rows, each is built once
+    The base and the tail are kept.  Their route steps, at most four
+    steps each, are built once per m (and r mod 4 for the tail) at every
+    m, and kept under the pieces' bound of 256, so a call builds only its
+    inflation and join steps.  At m <= 170 rows, each piece is built once
     per process from its own sub-trace, which is also its key, and kept as
     a one-copy layout of its array with its own shiftability flag: at most
     256 pieces, the least recently used dropped first.  construct then
@@ -261,6 +266,7 @@ def construct(m: int, n: int, r: int) -> tuple[SignedArray, RouteTrace]:
 _TAIL_DEGREE = (0, 5, 6, 3)
 
 
+@lru_cache(maxsize=_PIECES)  # a point's steps, built once per m, under the pieces' bound
 def _width4(m: int) -> tuple[TraceStep, ...]:
     """Shiftable (m, 2m; 4, 2) for any m >= 2."""
     if m == 2:  # rules 1 and 2 use the bare seed, not its one-copy inflation
@@ -268,6 +274,7 @@ def _width4(m: int) -> tuple[TraceStep, ...]:
     return _diagonal(m, 4)
 
 
+@lru_cache(maxsize=_PIECES)
 def _tail(m: int, residue: int) -> tuple[TraceStep, ...]:
     """Steps for the (m, ·; c, 2) tail, c = _TAIL_DEGREE[residue]; none at c = 0."""
     if residue == 0:

@@ -18,9 +18,9 @@ go in order of column offset.  A join only appends runs and an inflation
 is one run of copies of its materialized operand, so a chain of operators
 writes each output cell once, when ``Layout.materialize`` builds the
 array.  It writes the runs one after another, each a leaf's row-major
-columns moved for each copy through one batched loop (``_append``), and
-records the bands they form: runs of full-height copies side by side, and
-copies stacked down the rows.  The array's first ordered read moves the
+columns moved for each copy (``_append``), and records the bands they
+form: runs of full-height copies side by side, and copies stacked down
+the rows.  The array's first ordered read moves the
 bands row-major with strided slices (``_row_major``); a store they do not
 describe, made from an array with uneven rows, is sorted by row
 (``_by_row``), the one other way to row order.  Building and checking an
@@ -32,10 +32,20 @@ its leaf, an inflation or shift is shiftable and a join takes the fixed
 operand's flag, so no ``Layout`` operator scans its operand.  The public
 functions wrap one operator each: array in, ``Layout.of``, then the
 materialized array out.
+
+A copy is moved by lane arithmetic, not by Python code per value: a
+column's native bytes are read as one integer of 64-bit lanes, each value
+v held as v + 2^63 (under ``away``, a value <= 0 as 2^63 - 1 - v), so that
+moving every value of a copy by t is adding t times the integer of 1 in
+every lane, and writing back is the inverse XOR and the integer's bytes.
+While every moved value fits in 64 bits, every lane of the sum lies in
+[0, 2^64) and no carry crosses into the next; a move that would take a
+value past that raises ``OverflowError`` before anything is written.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import partial
 
@@ -175,27 +185,75 @@ class Layout:
 
 def _append(out: array, column: array, start: int, step: int, k: int, away: bool = False) -> None:
     """Append ``column`` k times, in order, copy b's values plus
-    ``start + b * step``, or with ``away`` moved that far from zero.  Copies
-    that move nothing are appended as they are; the others are written in
-    one loop, about ``_BATCH`` values at a time: as many copies together as
-    fit in ``_BATCH`` values, at least one, one ``_BATCH``-value slice of the
-    column at a time."""
+    ``start + b * step``, or with ``away`` moved that far from zero (a 0
+    moves down); start and step are >= 0.  Copies that move nothing are
+    appended as they are.
+
+    The others are moved by lane arithmetic, with no Python code per value.
+    A group of copies of the column, about ``_GROUP`` values or one copy,
+    or one copy of a ``_BATCH``-value slice of a longer column, is read from
+    its native bytes as one integer of 64-bit lanes (``_lanes``).  Each
+    value v is held as its bits XOR a key: v + 2^63 as an unsigned number,
+    or under ``away``, where v <= 0, 2^63 - 1 - v.  So moving every copy of
+    the group by t, up or down, is adding t times the integer of 1 in every
+    lane, and writing back is the XOR again and the integer's bytes, one
+    group at a time; the last group ends at copy k and writes only the
+    copies not yet written.  The sum is exact, and when every moved value
+    fits in 64 bits every lane of it lies in [0, 2^64), so its base-2^64
+    digits are the lanes: no carry crosses one.  So the range is checked
+    first, from the largest move: values within 2^62 of 0 moved by less
+    than 2^62 fit, and otherwise the least and greatest values decide.  A
+    value that would not fit raises ``OverflowError`` before anything is
+    written, where its lane would wrap."""
     if not column or not start and (not step or k < 2):
         for _ in range(k):
             out.extend(column)
         return
-    per = max(1, _BATCH // len(column))  # copies a group
-    for at in range(0, k, per):
-        group = [start + b * step for b in range(at, min(at + per, k))]
-        for lo in range(0, len(column), _BATCH):
-            values = column[lo : lo + _BATCH].tolist()
-            if away:
-                out.fromlist([e + t if e > 0 else e - t for t in group for e in values])
-            else:
-                out.fromlist([v + m for m in group for v in values])
+    reach = start + (k - 1) * step  # the largest move
+    size = len(column)
+    per = min(k, max(1, _GROUP // size)) if size <= _BATCH else 1  # copies a group
+    groups = [_lanes(column[lo : lo + _BATCH], per, step, reach, away) for lo in range(0, size, _BATCH)]
+    whole = k - k % per  # copies in whole groups
+    for b in range(0, whole, per):
+        for lanes, ones, key, nbytes in groups:
+            out.frombytes(((lanes + (start + b * step) * ones) ^ key).to_bytes(nbytes, _ORDER))
+    if whole < k:
+        lanes, ones, key, nbytes = groups[0]
+        data = ((lanes + (start + (k - per) * step) * ones) ^ key).to_bytes(nbytes, _ORDER)
+        out.frombytes(data[(whole + per - k) * 8 * size :])
 
 
-_BATCH = 1 << 12  # about how many values ``_append`` writes at once
+def _lanes(part: array, copies: int, step: int, reach: int, away: bool) -> tuple[int, int, int, int]:
+    """``copies`` copies of ``part`` as ``_append`` moves them: the integer
+    of their lanes, copy b's already moved by ``b * step``; the integer of 1
+    in every lane; the key; and their byte count.  Raises OverflowError when
+    a move of up to ``reach`` takes a value past 64 bits."""
+    n = len(part) * copies
+    flip = int.from_bytes(_TOP * n, _ORDER)  # 2^63 in every lane
+    raw = int.from_bytes(part.tobytes() * copies, _ORDER)
+    biased = raw ^ flip  # v + 2^63 in every lane
+    if reach >> 62 or (biased ^ biased << 1) & flip != flip:  # a lane's top two bits agree
+        top, bottom = max(part), min(part)
+        if not away or top > 0:
+            top += reach
+        if away and bottom <= 0:
+            bottom -= reach
+        if top >= 1 << 63 or bottom < -1 << 63:
+            raise OverflowError(f"a value moved by up to {reach} does not fit in 64 bits")
+    ones = flip >> 63
+    key = flip
+    if away:  # 2^63 - 1 in the lanes of values <= 0, whose v + 2^63 - 1 has no top bit
+        key += (((biased - ones) & flip) >> 63) - ones
+    lanes = raw ^ key
+    if copies > 1:  # copy b's lanes hold b, in the bytes' order
+        lanes += step * int.from_bytes(b"".join([b.to_bytes(8, _ORDER) * len(part) for b in range(copies)]), _ORDER)
+    return lanes, ones, key, 8 * n
+
+
+_BATCH = 1 << 12  # the most values of a long column one integer of ``_append`` holds
+_GROUP = 64  # about how many values of a short column's copies one integer holds
+_TOP = array("q", [-1 << 63]).tobytes()  # a lane of 2^63 (the int64 -2^63)
+_ORDER = sys.byteorder  # the order of an array's bytes
 
 
 def _row_major(m: int, bands: tuple, row: array, col: array, entry: array) -> list[array]:

@@ -352,25 +352,66 @@ def test_join_diagonal_verifies_on_matched_operands(sid, k):
 
 
 # _append against one copy at a time, at every boundary of its batches: a
-# column of at most a batch or of more, and copies that fill a batch or spill
-# into the next.  _append reads _BATCH when called, so a batch of 8 walks the
-# boundaries the real one has; at the real one, cases past 32k values are
-# skipped, as their reference lists would take seconds and hundreds of MB.
+# column of at most a batch or of more, and copies that fill a group or a
+# batch or spill into the next.  _append reads _BATCH and _GROUP when called,
+# so a batch of 8 and a group of 4 walk the boundaries the real ones have; at
+# the real ones, cases past 32k values are skipped, as their reference lists
+# would take seconds and hundreds of MB.  Each case runs on a column of both
+# signs, one holding 0s (which move down under away), and one whose moved
+# values come within 8 of +-2^63, the most a lane holds.
+
+
+def _columns(size: int, reach: int, away: bool) -> list[array]:
+    edge = [
+        (1 << 63) - 1 - reach - i // 2 % 8 if i % 2 == 0
+        else -(1 << 63) + (reach if away else 0) + i // 2 % 8
+        for i in range(size)
+    ]
+    return [
+        array("q", [(i + 1) * (-1) ** i for i in range(size)]),
+        array("q", [0 if i % 3 == 0 else (i + 1) * (-1) ** i for i in range(size)]),
+        array("q", edge),
+    ]
+
+
+def _per_copy(column: array, start: int, step: int, copies: int, away: bool) -> list[int]:
+    expected = []
+    for t in [start + b * step for b in range(copies)]:
+        expected += [(v + t if v > 0 else v - t) if away else v + t for v in column]
+    return expected
 
 
 @pytest.mark.parametrize("batch", [8, transforms._BATCH])
 @pytest.mark.parametrize("away", [False, True])
 def test_append_equals_a_per_copy_reference_at_every_batch_boundary(monkeypatch, batch, away):
+    group = min(transforms._GROUP, batch // 2)
     monkeypatch.setattr(transforms, "_BATCH", batch)
-    for size in (0, 1, 3, batch - 1, batch, batch + 1, 2 * batch + 3):
-        column = array("q", [(i + 1) * (-1) ** i for i in range(size)])  # no 0, both signs
-        for copies in (1, 2, batch // 3 + 1):
-            if size * copies > 1 << 15:
-                continue
-            for start, step in ((0, 5), (7, 5), (0, 0)):
+    monkeypatch.setattr(transforms, "_GROUP", group)
+    cases = [
+        (size, copies)
+        for size in (0, 1, 3, batch - 1, batch, batch + 1, 2 * batch + 3)
+        for copies in (1, 2, 3, group - 1, group + 1, 2 * group + 1, batch // 3 + 1)
+        if size * copies <= 1 << 15
+    ]
+    cases += [(1, 10_000), (2, 10_001)]  # tiny columns in many groups
+    for size, copies in cases:
+        for start, step in ((0, 5), (7, 5), (0, 0), (7, 0)):
+            for column in _columns(size, start + (copies - 1) * step, away):
                 out = array("q", [99])
                 transforms._append(out, column, start, step, copies, away)
-                expected = [99]
-                for t in [start + b * step for b in range(copies)]:
-                    expected += [(v + t if v > 0 else v - t) if away else v + t for v in column]
-                assert out.tolist() == expected, (size, copies, start, step)
+                expected = [99] + _per_copy(column, start, step, copies, away)
+                assert out.tolist() == expected, (size, copies, start, step, column[:2])
+
+
+def test_a_value_past_64_bits_is_an_error_not_a_wrap():
+    a = seed("S_2x4")[0]  # entries +-1..+-4, so a move of t reaches 4 + t
+    top = shift(a, 2**63 - 5)
+    assert max(top.cells.values()) == 2**63 - 1 and min(top.cells.values()) == -(2**63 - 1)
+    wide = inflate_horizontal(shift(a, 2**63 - 9), 2)  # the second copy moves 4 further
+    assert max(wide.cells.values()) == 2**63 - 1 and min(wide.cells.values()) == -(2**63 - 1)
+    with pytest.raises(OverflowError):
+        shift(a, 2**63 - 4)
+    with pytest.raises(OverflowError):
+        inflate_horizontal(shift(a, 2**63 - 8), 2)
+    with pytest.raises(OverflowError):  # -2^63 moved down by 1
+        transforms._append(array("q"), array("q", [1, -(1 << 63)]), 1, 0, 1, True)
